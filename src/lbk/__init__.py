@@ -23,7 +23,6 @@ from .oracle import (
     integrate_dI_dR,
     integrate_I,
     integrate_lock,
-    integrate_parity_null,
     integrate_poisson_exp,
 )
 from .specfun import (
@@ -75,7 +74,6 @@ __all__ = [
     "integrate_dI_dR",
     "integrate_lock",
     "integrate_poisson_exp",
-    "integrate_parity_null",
     "check_identity",
     "sweep_random",
     "draw_cases",

@@ -12,9 +12,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
+from dataclasses import fields
 
 from .kernel import IntegralParams, closed_form_I
 from .oracle import QuadratureSpec, integrate_I
@@ -80,30 +80,25 @@ def _record_row(rec):
             rec["method"], rec.get("abs_err")]
 
 
-def _params_from(args):
+def _checked(cls, *args, **kwargs):
+    # Builds cls, reporting a value it rejects as invalid input (None).
     try:
-        return IntegralParams(args.n, args.m, args.alpha, args.R)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return None
 
 
-def _spec_from(args):
-    try:
-        return QuadratureSpec(
-            base_panels=getattr(args, "base_panels", None),
-            nodes_per_panel=getattr(args, "nodes_per_panel", 32),
-            abs_tol=args.abs_tol if args.abs_tol is not None else 1e-12,
-            rel_tol=args.rel_tol if args.rel_tol is not None else 1e-10,
-            max_refinements=getattr(args, "max_refinements", 12),
-        )
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return None
+def _from_args(cls, args):
+    # Builds the dataclass cls from the parsed flags; a flag that is absent
+    # from this subcommand or left unset (None) takes the field's default.
+    given = {f.name: getattr(args, f.name) for f in fields(cls)
+             if getattr(args, f.name, None) is not None}
+    return _checked(cls, **given)
 
 
 def cmd_eval(args):
-    p = _params_from(args)
+    p = _from_args(IntegralParams, args)
     if p is None:
         return 2
     rec = _record(p, closed_form_I(p), "closed")
@@ -112,10 +107,10 @@ def cmd_eval(args):
 
 
 def cmd_quad(args):
-    p = _params_from(args)
+    p = _from_args(IntegralParams, args)
     if p is None:
         return 2
-    spec = _spec_from(args)
+    spec = _from_args(QuadratureSpec, args)
     if spec is None:
         return 2
     result = integrate_I(p, spec)
@@ -135,15 +130,8 @@ def cmd_quad(args):
 
 
 def cmd_verify(args):
-    try:
-        cfg = SweepConfig(
-            seed=args.seed, cases=args.cases, n_max=args.n_max,
-            R_max=args.R_max, alpha_margin=args.alpha_margin,
-            abs_tol=args.abs_tol if args.abs_tol is not None else 1e-8,
-            rel_tol=args.rel_tol if args.rel_tol is not None else 1e-8,
-        )
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    cfg = _from_args(SweepConfig, args)
+    if cfg is None:
         return 2
     try:
         report = sweep_random(cfg)
@@ -221,14 +209,10 @@ def cmd_table(args):
         print("invalid input: n-max must be non-negative", file=sys.stderr)
         return 2
     Rs = args.R if args.R else [1.0]
-    if any(R < 0.0 for R in Rs):
-        print("invalid input: R must be non-negative", file=sys.stderr)
+    # Degree 0 stands in for every row: only alpha and R are checked here.
+    if any(_checked(IntegralParams, 0, 0, args.alpha, R) is None for R in Rs):
         return 2
-    if not 0.0 <= args.alpha <= math.pi:
-        print("invalid input: alpha must lie in [0, pi] radians",
-              file=sys.stderr)
-        return 2
-    spec = _spec_from(args)
+    spec = _from_args(QuadratureSpec, args)
     if spec is None:
         return 2
 
@@ -266,8 +250,8 @@ def cmd_table(args):
 
 def _add_shared(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    sub.add_argument("--abs-tol", dest="abs_tol", type=float)
+    sub.add_argument("--rel-tol", dest="rel_tol", type=float)
 
 
 def _add_point(sub):
@@ -294,21 +278,17 @@ def build_parser():
     p_quad = subs.add_parser("quad", help="quadrature evaluation")
     _add_point(p_quad)
     _add_shared(p_quad)
-    p_quad.add_argument("--base-panels", dest="base_panels", type=int,
-                        default=None)
-    p_quad.add_argument("--nodes-per-panel", dest="nodes_per_panel", type=int,
-                        default=32)
-    p_quad.add_argument("--max-refinements", dest="max_refinements", type=int,
-                        default=12)
+    p_quad.add_argument("--base-panels", dest="base_panels", type=int)
+    p_quad.add_argument("--nodes-per-panel", dest="nodes_per_panel", type=int)
+    p_quad.add_argument("--max-refinements", dest="max_refinements", type=int)
     p_quad.set_defaults(func=cmd_quad)
 
     p_verify = subs.add_parser("verify", help="seeded random identity sweep")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--cases", type=int, default=100)
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=20)
-    p_verify.add_argument("--R-max", dest="R_max", type=float, default=50.0)
-    p_verify.add_argument("--alpha-margin", dest="alpha_margin", type=float,
-                          default=0.05)
+    p_verify.add_argument("--n-max", dest="n_max", type=int)
+    p_verify.add_argument("--R-max", dest="R_max", type=float)
+    p_verify.add_argument("--alpha-margin", dest="alpha_margin", type=float)
     _add_shared(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -37,7 +37,8 @@ class IntegralParams:
     """Parameters (n, m, alpha, R) of the integral family.
 
     n is the Legendre degree (>= 0), m the order (|m| <= n), alpha the
-    polar tilt in radians ([0, pi]) and R the dimensionless radius (>= 0).
+    polar tilt in radians ([0, pi]) and R the finite dimensionless radius
+    (>= 0).
     """
 
     n: int
@@ -53,8 +54,8 @@ class IntegralParams:
                 f"order must satisfy |m| <= n (got n={self.n}, m={self.m})")
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha must lie in [0, pi] (got {self.alpha})")
-        if not self.R >= 0.0:
-            raise ValueError(f"R must be non-negative (got {self.R})")
+        if not 0.0 <= self.R < math.inf:
+            raise ValueError(f"R must be finite and non-negative (got {self.R})")
 
 
 def i_phase(k):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import assoc_legendre, bessel_j
+from .specfun import _legendre_upward, assoc_legendre, bessel_j
 
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LONG = float(np.finfo(np.longdouble).eps)
@@ -45,7 +45,9 @@ class QuadratureSpec:
     """Panel counts, node order and stopping tolerances for the oracle.
 
     ``base_panels = None`` selects the oscillation-aware seeding rule
-    max(8, ceil(R/pi) + n) of the operation being integrated.
+    max(8, ceil(R/pi) + n) of the operation being integrated.  The field
+    defaults below are the only place the oracle defaults are stated: the
+    CLI passes just the flags a user sets and leaves the rest to them.
     """
 
     base_panels: int | None = None
@@ -73,14 +75,12 @@ class QuadResult:
     converged: bool
 
 
-def _legendre_poly_pair(order, x):
-    # P_order(x) and P'_order(x) by the three-term recurrence, any float dtype.
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2.0 * k - 1.0) * x * p1 - (k - 1.0) * p0) / k
-    dp = order * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
+def _legendre_pair(order, x):
+    # P_order(x) and P'_order(x) from specfun's degree recurrence, any float
+    # dtype.
+    p = _legendre_upward(order, 0, x)
+    dp = order * (x * p - _legendre_upward(order - 1, 0, x)) / (x * x - 1.0)
+    return p, dp
 
 
 def _gl_rule(order, dtype):
@@ -95,9 +95,9 @@ def _gl_rule(order, dtype):
         # cap the extended-precision accuracy.
         x = nodes.astype(dtype)
         for _ in range(3):
-            p, dp = _legendre_poly_pair(order, x)
+            p, dp = _legendre_pair(order, x)
             x = x - p / dp
-        p, dp = _legendre_poly_pair(order, x)
+        p, dp = _legendre_pair(order, x)
         nodes = x
         weights = 2.0 / ((1.0 - x * x) * dp * dp)
     _gl_cache[key] = (nodes, weights)
@@ -211,18 +211,5 @@ def integrate_poisson_exp(s, x, spec=QuadratureSpec()):
 
     def f(u, su):
         return ((1.0 - u) * (1.0 + u)) ** s * np.exp(1j * x * u)
-
-    return _refine(f, spec, _auto_panels(x, s))
-
-
-def integrate_parity_null(s, x, spec=QuadratureSpec()):
-    """Quadrature of sin(theta) sin(x cos(theta)) sin^{2s}(theta); zero by parity."""
-    if s < 0:
-        raise ValueError(f"moment index must be non-negative (got s={s})")
-    if not x >= 0.0:
-        raise ValueError(f"argument must be non-negative (got {x})")
-
-    def f(u, su):
-        return ((1.0 - u) * (1.0 + u)) ** s * np.sin(x * u)
 
     return _refine(f, spec, _auto_panels(x, s))

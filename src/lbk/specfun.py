@@ -6,6 +6,12 @@ arguments up to ~1e4).  Every function accepts a scalar or an ndarray for
 its real argument and is pure; negative orders are resolved by symmetry at
 the API boundary so there is a single evaluation path per function.
 
+J_m and j_n are the minimal solutions of f_{k-1} = (2k + s)/x f_k - f_{k+1}
+(s = 0 and s = 1) and share one rescaled Miller backward-recurrence loop,
+each with its own normalization.  The P_n^m degree recurrence is the only
+Legendre recurrence in the package; the quadrature oracle builds its
+extended-precision Gauss rule on it.
+
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
 """
@@ -137,32 +143,54 @@ def _bessel_series(m, x):
     return total
 
 
-def _bessel_miller(m, x):
-    # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from a start order
-    # far enough above max(m, x) that the seed error has decayed below
-    # extended precision, then normalize.
-    big = max(m, int(math.ceil(float(np.max(x)))), 1)
+def _backward(order, x, shift):
+    # Miller's backward recurrence for the minimal solution of
+    # f_{k-1} = (2k + shift)/x f_k - f_{k+1}: shift 0 gives J_k, shift 1
+    # gives j_k, each up to one unknown factor per element.  The start order
+    # sits far enough above max(order, x) that the seed error has decayed
+    # below extended precision.  Returns f_order, f_0, f_1 and
+    # sum_{k>=1} f_{2k}, all on the same per-element scale.  Only shift 0's
+    # Neumann normalization uses that sum; for shift 1 it is returned as
+    # zeros, which spares the j_n path an array add every other step.
+    big = max(order, int(math.ceil(float(np.max(x)))), 1)
     start = big + int(math.ceil(14.0 * big ** (1.0 / 3.0))) + 14
+    # Multiplying by 1/x is markedly faster than dividing on large node
+    # arrays.
     inv_x = 1.0 / x
-    jkp1 = np.zeros_like(x)
-    jk = np.full_like(x, 1e-30)
-    even_sum = np.zeros_like(x)
-    val = np.zeros_like(x)
+    fkp1 = np.zeros_like(x)
+    fk = np.full_like(x, 1e-30)
+    even_sum = fkp1
+    val = fkp1
+    # The rescale test must act as if it ran on every step: skipping a step
+    # where it fires moves the rescale points and with them the last bits of
+    # J_m.  bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which
+    # the 1e-3 margin absorbs, so the test runs only where it could fire.
+    grow = float(np.max(inv_x))
+    bk, bkp1 = 1e-30, 0.0
+    # Every update below rebinds its name, so val may alias fk.
     for k in range(start, 0, -1):
-        jk, jkp1 = 2.0 * k * inv_x * jk - jkp1, jk
-        if k - 1 == m:
-            val = jk.copy()
-        if (k - 1) % 2 == 0 and k > 1:
-            even_sum = even_sum + jk
-        clip = np.abs(jk) > _RESCALE_LIMIT
-        if clip.any():
-            f = np.where(clip, _RESCALE, 1.0)
-            jk = jk * f
-            jkp1 = jkp1 * f
-            even_sum = even_sum * f
-            val = val * f
-    norm = 2.0 * even_sum + jk  # jk holds the scaled J_0
-    return val / norm
+        fk, fkp1 = (2.0 * k + shift) * inv_x * fk - fkp1, fk
+        bk, bkp1 = (2.0 * k + shift) * grow * bk + bkp1, bk
+        if k - 1 == order:
+            val = fk
+        if shift == 0 and (k - 1) % 2 == 0 and k > 1:
+            even_sum = even_sum + fk
+        if bk > 1e-3 * _RESCALE_LIMIT:
+            clip = np.abs(fk) > _RESCALE_LIMIT
+            if clip.any():
+                f = np.where(clip, _RESCALE, 1.0)
+                fk = fk * f
+                fkp1 = fkp1 * f
+                even_sum = even_sum * f
+                val = val * f
+            bk = min(bk, _RESCALE_LIMIT)
+    return val, fk, fkp1, even_sum
+
+
+def _bessel_miller(m, x):
+    # Normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
+    val, j0, _, even_sum = _backward(m, x, 0)
+    return val / (2.0 * even_sum + j0)
 
 
 def spherical_bessel_j(n, x):
@@ -217,30 +245,13 @@ def _sph_upward(n, x):
 
 
 def _sph_downward(n, x):
-    start = n + int(math.ceil(14.0 * max(n, float(np.max(x))) ** (1.0 / 3.0))) + 14
-    fkp1 = np.zeros_like(x)
-    fk = np.full_like(x, 1e-30)
-    val = np.zeros_like(x)
-    f1 = np.zeros_like(x)
-    for k in range(start, 0, -1):
-        fk, fkp1 = (2.0 * k + 1.0) / x * fk - fkp1, fk
-        if k - 1 == n:
-            val = fk.copy()
-        if k - 1 == 1:
-            f1 = fk.copy()
-        clip = np.abs(fk) > _RESCALE_LIMIT
-        if clip.any():
-            f = np.where(clip, _RESCALE, 1.0)
-            fk = fk * f
-            fkp1 = fkp1 * f
-            val = val * f
-            f1 = f1 * f
+    val, f0, f1, _ = _backward(n, x, 1)
     # Normalize against whichever elementary value is larger in magnitude;
     # j_0 and j_1 have no common zeros.
     j0 = np.sin(x) / x
     j1 = (j0 - np.cos(x)) / x
     use0 = np.abs(j0) >= np.abs(j1)
-    scale = np.where(use0, j0, j1) / np.where(use0, fk, f1)
+    scale = np.where(use0, j0, j1) / np.where(use0, f0, f1)
     return val * scale
 
 

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+import lbk.cli
 from lbk.cli import main, render_json
+from lbk.oracle import QuadratureSpec
+from lbk.verify import SweepConfig
 
 PI = math.pi
 
@@ -44,11 +47,13 @@ class TestEval:
         ["--n", "1", "--m", "0", "--alpha", "9.9", "--R", "1.0"],
         ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "-2.0"],
         ["--n", "-1", "--m", "0", "--alpha", "1.0", "--R", "1.0"],
+        ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "inf"],
+        ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "nan"],
     ])
     def test_invalid_inputs_exit_2(self, capsys, flags):
         code, _, err = run(capsys, ["eval"] + flags)
         assert code == 2
-        assert err.strip()
+        assert err.startswith("invalid input:")
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["eval", "--n", "0", "--m", "0",
@@ -87,6 +92,27 @@ class TestQuad:
         assert json.loads(out)["converged"] is False
         assert "converge" in err
 
+    def test_non_finite_radius_exits_2(self, capsys):
+        code, out, err = run(capsys, ["quad", "--n", "2", "--m", "1",
+                                      "--alpha", "1.0", "--R", "inf"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
+
+    def test_unset_flags_take_spec_defaults(self, capsys, monkeypatch):
+        specs = []
+        real = lbk.cli.integrate_I
+
+        def recording(p, spec):
+            specs.append(spec)
+            return real(p, spec)
+
+        monkeypatch.setattr(lbk.cli, "integrate_I", recording)
+        code, _, _ = run(capsys, ["quad", "--n", "1", "--m", "0",
+                                  "--alpha", "1.0", "--R", "2.0"])
+        assert code == 0
+        assert specs == [QuadratureSpec()]
+
 
 class TestVerify:
     def test_small_sweep_exit_0(self, capsys):
@@ -104,6 +130,21 @@ class TestVerify:
         a, b = json.loads(out1), json.loads(out2)
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
+
+    def test_unset_flags_take_config_defaults(self, capsys, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        configs = []
+
+        def recording(cfg):
+            configs.append(cfg)
+            raise Stop
+
+        monkeypatch.setattr(lbk.cli, "sweep_random", recording)
+        with pytest.raises(Stop):
+            main(["verify"])
+        assert configs == [SweepConfig(seed=42, cases=100)]
 
     def test_zero_cases_exit_2(self, capsys):
         code, _, err = run(capsys, ["verify", "--cases", "0"])
@@ -214,6 +255,17 @@ class TestTable:
                                     "--R", "2.0", "--R", "3.0"])
         assert code == 0
         assert [r["R"] for r in json.loads(out)] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "1.0", "--R", "2.0", "--R", "inf"],
+        ["--alpha", "1.0", "--R", "-1.0"],
+        ["--alpha", "4.0", "--R", "2.0"],
+    ])
+    def test_invalid_point_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, ["table", "--n-max", "1"] + flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
 
 
 class TestRendering:

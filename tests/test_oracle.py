@@ -11,12 +11,13 @@ from lbk.kernel import (
     poisson_closed_form,
 )
 from lbk.oracle import (
+    _HAS_EXTENDED,
     QuadratureSpec,
+    _gl_rule,
     gauss_panels,
     integrate_dI_dR,
     integrate_I,
     integrate_lock,
-    integrate_parity_null,
     integrate_poisson_exp,
 )
 
@@ -48,6 +49,16 @@ class TestPanelRule:
             got = gauss_panels(lambda u, su: u ** k, 1, 32).real
             want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert got == pytest.approx(want, abs=3e-15)
+
+    @pytest.mark.skipif(not _HAS_EXTENDED,
+                        reason="longdouble is plain double on this platform")
+    def test_extended_rule_monomial_exactness(self):
+        # the Newton-refined longdouble rule beats double precision on u^k
+        nodes, weights = _gl_rule(32, np.longdouble)
+        for k in range(64):
+            got = np.dot(weights, nodes ** k)
+            want = np.longdouble(2) / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(got - want) <= 1e-17
 
     def test_degrades_far_past_design_degree(self):
         got = gauss_panels(lambda u, su: u ** 150, 1, 32).real
@@ -202,11 +213,13 @@ class TestIntegratePoissonExp:
 
 
 class TestIntegrateParityNull:
+    # The parity-null integral of sin(theta) sin(x cos(theta)) sin^{2s}(theta)
+    # is Im of the exponential moment integral; its odd integrand vanishes.
     def test_zero_integrand_is_exactly_zero(self):
-        assert integrate_parity_null(2, 0.0).value == 0.0 + 0.0j
+        assert integrate_poisson_exp(2, 0.0).value.imag == 0.0
 
     @pytest.mark.parametrize("s, x, tol", [
         (0, 5.0, 1e-12), (3, 17.3, 1e-10), (5, 50.0, 1e-10),
     ])
     def test_vanishes_by_parity(self, s, x, tol):
-        assert abs(integrate_parity_null(s, x).value) <= tol
+        assert abs(integrate_poisson_exp(s, x).value.imag) <= tol

@@ -103,7 +103,9 @@ class TestBesselJ:
     def test_against_scipy(self):
         x = np.concatenate([np.linspace(0.0, 1.0, 11),
                             np.geomspace(1e-3, 100.0, 90),
-                            [11.9, 12.0, 12.1]])
+                            [11.9, 12.0, 12.1],
+                            # reaches the Miller rescale branch
+                            np.geomspace(12.0, 2000.0, 400)])
         for m in range(0, 41):
             np.testing.assert_allclose(bessel_j(m, x), sp.jv(m, x),
                                        rtol=1e-9, atol=1e-12)
@@ -138,6 +140,13 @@ class TestSphericalBessel:
         x = np.concatenate([np.linspace(0.0, 1.0, 11),
                             np.geomspace(1e-3, 100.0, 90)])
         for n in range(0, 41):
+            np.testing.assert_allclose(spherical_bessel_j(n, x),
+                                       sp.spherical_jn(n, x),
+                                       rtol=1e-10, atol=1e-14)
+        # downward recurrence at large arguments; the rescale branch fires
+        # here too (n >= 55), not only below x = 1
+        x = np.geomspace(0.5, 150.0, 300)
+        for n in range(0, 61):
             np.testing.assert_allclose(spherical_bessel_j(n, x),
                                        sp.spherical_jn(n, x),
                                        rtol=1e-10, atol=1e-14)
