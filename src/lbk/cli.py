@@ -80,10 +80,11 @@ def _record_row(rec):
             rec["method"], rec.get("abs_err")]
 
 
-def _checked(cls, *args, **kwargs):
-    # Builds cls, reporting a value it rejects as invalid input (None).
+def _checked(fn, *args, **kwargs):
+    # Calls fn (a dataclass or the oracle), reporting an argument it rejects
+    # with ValueError as invalid input (None).
     try:
-        return cls(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return None
@@ -113,7 +114,9 @@ def cmd_quad(args):
     spec = _from_args(QuadratureSpec, args)
     if spec is None:
         return 2
-    result = integrate_I(p, spec)
+    result = _checked(integrate_I, p, spec)
+    if result is None:
+        return 2
     rec = _record(p, result.value, "quad")
     rec["est_error"] = result.est_error
     rec["panels"] = result.panels_used
@@ -205,12 +208,10 @@ def cmd_bench(args):
 
 
 def cmd_table(args):
-    if args.n_max < 0:
-        print("invalid input: n-max must be non-negative", file=sys.stderr)
-        return 2
     Rs = args.R if args.R else [1.0]
-    # Degree 0 stands in for every row: only alpha and R are checked here.
-    if any(_checked(IntegralParams, 0, 0, args.alpha, R) is None for R in Rs):
+    # The top degree stands in for every row: it checks n-max, alpha and R.
+    if any(_checked(IntegralParams, args.n_max, 0, args.alpha, R) is None
+           for R in Rs):
         return 2
     spec = _from_args(QuadratureSpec, args)
     if spec is None:
@@ -229,7 +230,9 @@ def cmd_table(args):
                 if args.method == "closed" or args.compare:
                     closed = closed_form_I(p)
                 if args.method == "quad" or args.compare:
-                    result = integrate_I(p, spec)
+                    result = _checked(integrate_I, p, spec)
+                    if result is None:
+                        return 2
                     quad = result.value
                     unconverged = unconverged or not result.converged
                 shown = closed if args.method == "closed" else quad

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .specfun import (
+    FACTORIAL_N_CAP,
     assoc_legendre,
     factorial_ratio,
     spherical_bessel_j,
@@ -36,9 +37,9 @@ _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 class IntegralParams:
     """Parameters (n, m, alpha, R) of the integral family.
 
-    n is the Legendre degree (>= 0), m the order (|m| <= n), alpha the
-    polar tilt in radians ([0, pi]) and R the finite dimensionless radius
-    (>= 0).
+    n is the Legendre degree (0 <= n <= ``FACTORIAL_N_CAP``), m the order
+    (|m| <= n), alpha the polar tilt in radians ([0, pi]) and R the finite
+    dimensionless radius (>= 0).
     """
 
     n: int
@@ -49,6 +50,9 @@ class IntegralParams:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"degree must be non-negative (got n={self.n})")
+        if self.n > FACTORIAL_N_CAP:
+            raise ValueError(
+                f"degree above cap {FACTORIAL_N_CAP} (got n={self.n})")
         if abs(self.m) > self.n:
             raise ValueError(
                 f"order must satisfy |m| <= n (got n={self.n}, m={self.m})")

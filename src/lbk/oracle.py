@@ -6,12 +6,18 @@ factor and the domain becomes [-1, 1].  In u the integrands are entire
 (the half-integer powers of 1 - u^2 contributed by P_n^m and J_m pair up),
 so composite Gauss-Legendre panels converge spectrally, and the rule is
 exact for polynomials in cos(theta) up to degree 2*nodes_per_panel - 1 on
-a single panel.
+any panel layout.  The panel edges are uniform in theta, u_k = -cos(k pi/P):
+in theta every factor's phase advances at a rate of at most R, so each
+panel carries a bounded phase, and the panels near u = +-1, where
+J_m(R sin(alpha) sin(theta)) oscillates fastest in u, are the narrowest.
 
 The error estimate is |result(k panels) - result(2k panels)|, iterated by
 doubling; non-convergence is reported through ``QuadResult.converged``,
-never raised.  Panel sums use a fixed summation order (one dot product
-over the concatenated panel nodes), so results do not depend on scheduling.
+never raised.  No pass evaluates more than ``MAX_NODES`` nodes: a seed
+whose first doubling would pass that cap is rejected with ValueError, and
+doubling stops short of it as non-convergence.  Panel sums use a fixed
+summation order (one dot product over the concatenated panel nodes), so
+results do not depend on scheduling.
 
 Oscillatory cancellation: at large degree and order the integrand envelope
 can exceed the integral value by ten orders of magnitude, so the rounding
@@ -37,6 +43,11 @@ _HAS_EXTENDED = _EPS_LONG < _EPS64
 # eps * integral(|f|) exceeds this fraction of the convergence target.
 _NOISE_GUARD = 4.0
 
+# Most nodes one panel pass may evaluate: 16 MB per float64 node array.
+# The default seed at R = 1e4 and n = 170 needs 31 k nodes, 62 k after its
+# first doubling.
+MAX_NODES = 1 << 21
+
 _gl_cache = {}
 
 
@@ -45,9 +56,10 @@ class QuadratureSpec:
     """Panel counts, node order and stopping tolerances for the oracle.
 
     ``base_panels = None`` selects the oscillation-aware seeding rule
-    max(8, ceil(R/pi) + n) of the operation being integrated.  The field
-    defaults below are the only place the oracle defaults are stated: the
-    CLI passes just the flags a user sets and leaves the rest to them.
+    max(8, ceil(R/(4 pi)) + n) of the operation being integrated, on
+    panels uniform in theta.  The field defaults below are the only place
+    the oracle defaults are stated: the CLI passes just the flags a user
+    sets and leaves the rest to them.
     """
 
     base_panels: int | None = None
@@ -106,7 +118,7 @@ def _gl_rule(order, dtype):
 
 def _panel_eval(f, panels, order, dtype):
     nodes, weights = _gl_rule(order, dtype)
-    edges = np.linspace(-1.0, 1.0, panels + 1).astype(dtype)
+    edges = -np.cos(np.arange(panels + 1, dtype=dtype) * (np.pi / panels))
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -123,6 +135,11 @@ def gauss_panels(f, panels, order):
 
 def _refine(f, spec, auto_panels):
     panels = spec.base_panels if spec.base_panels is not None else auto_panels
+    # An error estimate needs the seed pass and its first doubling.
+    if 2 * panels * spec.nodes_per_panel > MAX_NODES:
+        raise ValueError(
+            f"quadrature needs more than {MAX_NODES} nodes per pass "
+            "(R, base_panels or nodes_per_panel too large)")
     prev, l1 = _panel_eval(f, panels, spec.nodes_per_panel, np.float64)
     target = max(spec.abs_tol, spec.rel_tol * abs(prev))
     dtype = np.float64
@@ -132,6 +149,8 @@ def _refine(f, spec, auto_panels):
     eps = _EPS_LONG if dtype is np.longdouble else _EPS64
     est = math.inf
     for _ in range(spec.max_refinements):
+        if 2 * panels * spec.nodes_per_panel > MAX_NODES:
+            break
         panels *= 2
         cur, l1 = _panel_eval(f, panels, spec.nodes_per_panel, dtype)
         est = abs(cur - prev)
@@ -146,9 +165,11 @@ def _refine(f, spec, auto_panels):
 
 
 def _auto_panels(x, degree):
-    # ceil(x/pi) tracks the oscillation count of exp(i x u) on [-1, 1],
-    # degree the zero count of the Legendre factor.
-    return max(8, int(math.ceil(x / math.pi)) + degree)
+    # A theta-uniform panel of width pi/P carries a phase of at most about
+    # x*pi/P; ceil(x/(4 pi)) panels hold that under ~4 pi^2 radians (about
+    # 6 periods per 32-node panel), and degree adds one panel per zero of the
+    # Legendre factor.
+    return max(8, int(math.ceil(x / (4.0 * math.pi))) + degree)
 
 
 def integrate_I(p, spec=QuadratureSpec()):

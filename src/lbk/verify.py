@@ -31,7 +31,12 @@ from .kernel import (
     mult_theorem_partial,
 )
 from .oracle import QuadratureSpec, integrate_dI_dR, integrate_I
-from .specfun import assoc_legendre, bessel_j, spherical_bessel_j
+from .specfun import (
+    FACTORIAL_N_CAP,
+    assoc_legendre,
+    bessel_j,
+    spherical_bessel_j,
+)
 
 WORKERS_ENV = "LBK_WORKERS"
 
@@ -58,8 +63,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.cases < 1:
             raise ValueError(f"cases must be >= 1 (got {self.cases})")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0 (got {self.n_max})")
+        if not 0 <= self.n_max <= FACTORIAL_N_CAP:
+            raise ValueError(
+                f"n_max must lie in [0, {FACTORIAL_N_CAP}] (got {self.n_max})")
         if not self.R_max > 0.0:
             raise ValueError(f"R_max must be positive (got {self.R_max})")
         if not 0.0 < self.alpha_margin < math.pi / 2.0:

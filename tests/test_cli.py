@@ -4,6 +4,7 @@ import math
 import pytest
 
 import lbk.cli
+import lbk.oracle
 from lbk.cli import main, render_json
 from lbk.oracle import QuadratureSpec
 from lbk.verify import SweepConfig
@@ -49,6 +50,8 @@ class TestEval:
         ["--n", "-1", "--m", "0", "--alpha", "1.0", "--R", "1.0"],
         ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "inf"],
         ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "nan"],
+        ["--n", "171", "--m", "-5", "--alpha", "1.0", "--R", "1.0"],
+        ["--n", "200", "--m", "0", "--alpha", "1.0", "--R", "1.0"],
     ])
     def test_invalid_inputs_exit_2(self, capsys, flags):
         code, _, err = run(capsys, ["eval"] + flags)
@@ -99,6 +102,22 @@ class TestQuad:
         assert out == ""
         assert err.startswith("invalid input:")
 
+    def test_radius_past_node_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, ["quad", "--n", "2", "--m", "1",
+                                      "--alpha", "1.0", "--R", "1e300"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
+
+    def test_doubling_at_node_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(lbk.oracle, "MAX_NODES", 32 * 8)
+        code, out, err = run(capsys, ["quad", "--n", "2", "--m", "1",
+                                      "--alpha", "1.0", "--R", "200.0",
+                                      "--base-panels", "1"])
+        assert code == 3
+        assert json.loads(out)["panels"] == 8
+        assert "converge" in err
+
     def test_unset_flags_take_spec_defaults(self, capsys, monkeypatch):
         specs = []
         real = lbk.cli.integrate_I
@@ -145,6 +164,12 @@ class TestVerify:
         with pytest.raises(Stop):
             main(["verify"])
         assert configs == [SweepConfig(seed=42, cases=100)]
+
+    def test_degree_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--n-max", "250"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
 
     def test_zero_cases_exit_2(self, capsys):
         code, _, err = run(capsys, ["verify", "--cases", "0"])
@@ -260,6 +285,8 @@ class TestTable:
         ["--alpha", "1.0", "--R", "2.0", "--R", "inf"],
         ["--alpha", "1.0", "--R", "-1.0"],
         ["--alpha", "4.0", "--R", "2.0"],
+        ["--n-max", "175", "--m", "-172", "--alpha", "1.0", "--R", "2.0"],
+        ["--method", "quad", "--alpha", "1.0", "--R", "1e300"],
     ])
     def test_invalid_point_exits_2(self, capsys, flags):
         code, out, err = run(capsys, ["table", "--n-max", "1"] + flags)

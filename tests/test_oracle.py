@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lbk.oracle
 from lbk.kernel import (
     IntegralParams,
     closed_form_dI_dR,
@@ -44,11 +45,13 @@ class TestQuadratureSpec:
 
 class TestPanelRule:
     def test_monomial_exactness_single_panel(self):
-        # one panel of 32 nodes integrates u^k exactly for k <= 63
-        for k in range(64):
-            got = gauss_panels(lambda u, su: u ** k, 1, 32).real
-            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert got == pytest.approx(want, abs=3e-15)
+        # one panel of 32 nodes integrates u^k exactly for k <= 63, and so
+        # does the theta-graded composite rule
+        for panels in (1, 7):
+            for k in range(64):
+                got = gauss_panels(lambda u, su: u ** k, panels, 32).real
+                want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert got == pytest.approx(want, abs=3e-15), (panels, k)
 
     @pytest.mark.skipif(not _HAS_EXTENDED,
                         reason="longdouble is plain double on this platform")
@@ -121,6 +124,30 @@ class TestIntegrateI:
         e32 = integrate_I(p, QuadratureSpec(base_panels=32))
         assert e16.converged and e32.converged
         assert e32.est_error <= 2.0 * e16.est_error + 1e-15
+
+    @pytest.mark.parametrize("R", [2000.0, 4000.0])
+    @pytest.mark.parametrize("alpha", [0.3, 1.55, 2.9])
+    def test_large_radius_default_seed(self, R, alpha):
+        # the default seed resolves R in the thousands with one doubling
+        p = IntegralParams(5, 2, alpha, R)
+        c = closed_form_I(p)
+        q = integrate_I(p)
+        assert q.converged
+        assert abs(q.value - c) / (1.0 + abs(c)) <= 1e-12
+        assert q.panels_used <= 2 * max(8, math.ceil(R / (4 * math.pi)) + 5)
+
+    def test_seed_past_node_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="nodes per pass"):
+            integrate_I(IntegralParams(5, 2, 1.0, 1e300))
+
+    def test_doubling_stops_at_node_cap(self, monkeypatch):
+        # 8 panels of 32 nodes leave R = 200 under-resolved
+        monkeypatch.setattr(lbk.oracle, "MAX_NODES", 32 * 8)
+        q = integrate_I(IntegralParams(2, 1, 1.0, 200.0),
+                        QuadratureSpec(base_panels=1))
+        assert not q.converged
+        assert q.panels_used == 8
+        assert math.isfinite(q.est_error)
 
     def test_panels_used_doubles_from_base(self):
         q = integrate_I(IntegralParams(1, 0, 1.0, 1.0), QuadratureSpec(base_panels=3))
