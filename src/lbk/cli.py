@@ -57,10 +57,12 @@ def render_csv(header, rows):
     return buf.getvalue()
 
 
-def _emit(args, payload, header, rows):
+def _emit(args, payload, header, records):
+    # CSV rows hold each record's value per header key, blank where absent.
     if args.format == "json":
         print(render_json(payload))
     else:
+        rows = [[rec.get(col) for col in header] for rec in records]
         print(render_csv(header, rows), end="")
 
 
@@ -75,17 +77,12 @@ def _record(p, value, method, abs_err=None):
 _RECORD_HEADER = ["n", "m", "alpha", "R", "re", "im", "method", "abs_err"]
 
 
-def _record_row(rec):
-    return [rec["n"], rec["m"], rec["alpha"], rec["R"], rec["re"], rec["im"],
-            rec["method"], rec.get("abs_err")]
-
-
 def _checked(fn, *args, **kwargs):
-    # Calls fn (a dataclass or the oracle), reporting an argument it rejects
-    # with ValueError as invalid input (None).
+    # Calls fn, reporting an argument it rejects (ValueError) or a value that
+    # leaves the double range (OverflowError) as invalid input (None).
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return None
 
@@ -102,8 +99,11 @@ def cmd_eval(args):
     p = _from_args(IntegralParams, args)
     if p is None:
         return 2
-    rec = _record(p, closed_form_I(p), "closed")
-    _emit(args, rec, _RECORD_HEADER, [_record_row(rec)])
+    value = _checked(closed_form_I, p)
+    if value is None:
+        return 2
+    rec = _record(p, value, "closed")
+    _emit(args, rec, _RECORD_HEADER, [rec])
     return 0
 
 
@@ -121,10 +121,8 @@ def cmd_quad(args):
     rec["est_error"] = result.est_error
     rec["panels"] = result.panels_used
     rec["converged"] = result.converged
-    header = _RECORD_HEADER + ["est_error", "panels", "converged"]
-    row = _record_row(rec) + [result.est_error, result.panels_used,
-                              result.converged]
-    _emit(args, rec, header, [row])
+    _emit(args, rec, _RECORD_HEADER + ["est_error", "panels", "converged"],
+          [rec])
     if not result.converged:
         print("quadrature did not converge within max refinements",
               file=sys.stderr)
@@ -136,10 +134,8 @@ def cmd_verify(args):
     cfg = _from_args(SweepConfig, args)
     if cfg is None:
         return 2
-    try:
-        report = sweep_random(cfg)
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    report = _checked(sweep_random, cfg)
+    if report is None:
         return 2
     payload = {
         "seed": cfg.seed, "cases": cfg.cases, "n_max": cfg.n_max,
@@ -157,13 +153,8 @@ def cmd_verify(args):
         "max_rel_err": report.max_rel_err,
         "wall_time": report.wall_time,
     }
-    header = ["seed", "cases", "n_max", "R_max", "alpha_margin", "abs_tol",
-              "rel_tol", "total", "failures", "max_abs_err", "max_rel_err",
-              "wall_time"]
-    row = [cfg.seed, cfg.cases, cfg.n_max, cfg.R_max, cfg.alpha_margin,
-           cfg.abs_tol, cfg.rel_tol, report.total, len(report.failures),
-           report.max_abs_err, report.max_rel_err, report.wall_time]
-    _emit(args, payload, header, [row])
+    _emit(args, payload, list(payload),
+          [{**payload, "failures": len(report.failures)}])
     return 0 if not report.failures else 1
 
 
@@ -201,9 +192,8 @@ def cmd_bench(args):
               file=sys.stderr)
         return 2
     rows = bench_rows(args.n_max, args.R_max, args.reps)
-    header = ["n", "R", "closed_us", "quad_us", "speedup", "reps", "noisy"]
     _emit(args, {"rows": rows},
-          header, [[r[k] for k in header] for r in rows])
+          ["n", "R", "closed_us", "quad_us", "speedup", "reps", "noisy"], rows)
     return 0
 
 
@@ -228,7 +218,9 @@ def cmd_table(args):
                 p = IntegralParams(n, m, args.alpha, R)
                 closed = quad = None
                 if args.method == "closed" or args.compare:
-                    closed = closed_form_I(p)
+                    closed = _checked(closed_form_I, p)
+                    if closed is None:
+                        return 2
                 if args.method == "quad" or args.compare:
                     result = _checked(integrate_I, p, spec)
                     if result is None:
@@ -242,8 +234,7 @@ def cmd_table(args):
         print(f"invalid input: order must satisfy |m| <= n for some row "
               f"(got m={args.m}, n-max={args.n_max})", file=sys.stderr)
         return 2
-    _emit(args, records, _RECORD_HEADER,
-          [_record_row(rec) for rec in records])
+    _emit(args, records, _RECORD_HEADER, records)
     if unconverged:
         print("quadrature did not converge within max refinements",
               file=sys.stderr)

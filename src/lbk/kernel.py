@@ -81,22 +81,35 @@ def closed_form_dI_dR(p):
             * spherical_bessel_j_prime(p.n, p.R))
 
 
-def lock_closed_form(n, m, R, sign):
-    """On-axis integral closed form 2 (sign*i)^{n+|m|} (n+|m|)!/(n-|m|)! j_n(R)/R^{|m|}.
-
-    Finite at R = 0 through the j_n/R^p limit.  ``sign`` selects the phase
-    of the exponential in the matching integral and must be +1 or -1.
-    """
+def _check_lock_args(n, m, R, sign):
+    # Shared with oracle.integrate_lock.
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1 (got {sign})")
     if n < 0 or abs(m) > n:
         raise ValueError(f"require 0 <= |m| <= n (got n={n}, m={m})")
     if not R >= 0.0:
         raise ValueError(f"R must be non-negative (got {R})")
+
+
+def lock_closed_form(n, m, R, sign):
+    """On-axis integral closed form 2 (sign*i)^{n+|m|} (n+|m|)!/(n-|m|)! j_n(R)/R^{|m|}.
+
+    Finite at R = 0 through the j_n/R^p limit.  ``sign`` selects the phase
+    of the exponential in the matching integral and must be +1 or -1.
+    """
+    _check_lock_args(n, m, R, sign)
     am = abs(m)
     return (2.0 * i_phase(sign * (n + am))
             * factorial_ratio(n, am)
             * spherical_bessel_ratio(n, am, R))
+
+
+def _check_moment_args(s, x):
+    # Shared with oracle.integrate_poisson_exp.
+    if s < 0:
+        raise ValueError(f"moment index must be non-negative (got s={s})")
+    if not x >= 0.0:
+        raise ValueError(f"argument must be non-negative (got {x})")
 
 
 def poisson_closed_form(s, x):
@@ -106,12 +119,9 @@ def poisson_closed_form(s, x):
     finite at x = 0 where it equals 2^{s+1} s!/(2s+1)!!.  Capped at
     s <= ``MOMENT_S_CAP``; the prefactor overflows beyond that.
     """
-    if s < 0:
-        raise ValueError(f"moment index must be non-negative (got s={s})")
     if s > MOMENT_S_CAP:
         raise OverflowError(f"moment index above cap {MOMENT_S_CAP} (got s={s})")
-    if not x >= 0.0:
-        raise ValueError(f"argument must be non-negative (got {x})")
+    _check_moment_args(s, x)
     return 2.0 ** (s + 1) * float(math.factorial(s)) * spherical_bessel_ratio(s, s, x)
 
 

@@ -3,8 +3,9 @@
 All evaluators are plain recurrence/series implementations chosen for
 stability over the working range (degrees and orders up to a few hundred,
 arguments up to ~1e4).  Every function accepts a scalar or an ndarray for
-its real argument and is pure; negative orders are resolved by symmetry at
-the API boundary so there is a single evaluation path per function.
+its real argument and is pure, with a single evaluation path per function:
+negative Legendre orders scale the positive-order recurrence, and j_n(x) is
+the p = 0 case of the scaled j_n(x)/x^p.
 
 J_m and j_n are the minimal solutions of f_{k-1} = (2k + s)/x f_k - f_{k+1}
 (s = 0 and s = 1) and share one rescaled Miller backward-recurrence loop,
@@ -71,6 +72,13 @@ def assoc_legendre(n, m, x):
     -------
     float or ndarray
         P_n^m(x) including the Condon-Shortley phase.
+
+    Raises
+    ------
+    OverflowError
+        If P_n^m(x) lies outside the double range, as ``factorial_ratio``
+        does; possible only for m > 0 near the degree cap.  Negative orders
+        have |P_n^m| <= 1 and never raise.
     """
     if n < 0:
         raise ValueError(f"degree must be non-negative (got n={n})")
@@ -80,16 +88,34 @@ def assoc_legendre(n, m, x):
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("argument must lie in [-1, 1]")
     if m < 0:
-        scale = (1.0 if m % 2 == 0 else -1.0) / factorial_ratio(n, m)
-        return _maybe_scalar(scale * _legendre_upward(n, -m, arr), scalar)
+        # P_n^{-a} = (-1)^a (n-a)!/(n+a)! P_n^a (A&S 8.2.5).  The ratio comes
+        # as ratio * 2^e, and half of 2^e divides the seed of P_n^a, so no
+        # factor overflows.  Powers of two scale exactly: wherever the plain
+        # formula fits a double, this is its result bit for bit.
+        ratio, e = _scaled_factorial_ratio(n, -m)
+        scale = (1.0 if m % 2 == 0 else -1.0) / ratio
+        out = scale * _legendre_upward(n, -m, arr, 2.0 ** -(e // 2))
+        return _maybe_scalar(out * 2.0 ** (e // 2 - e), scalar)
+    # |P_k^m| <= sqrt((k+m)!/(k-m)!) (addition theorem) and every step of
+    # the recurrence stays within 680 times that bound at k = n, so only
+    # orders where 680 sqrt((n+m)!/(n-m)!) may pass the double range
+    # (log (n+m)!/(n-m)! > 1400) pay for the finiteness check.
+    if math.lgamma(n + m + 1) - math.lgamma(n - m + 1) > 1400.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _legendre_upward(n, m, arr)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError(
+                f"P_n^m overflows double precision for n={n}, m={m}")
+        return _maybe_scalar(out, scalar)
     return _maybe_scalar(_legendre_upward(n, m, arr), scalar)
 
 
-def _legendre_upward(n, m, x):
-    # Seed P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, then raise the degree with
-    # (n-m) P_n^m = x(2n-1) P_{n-1}^m - (n+m-1) P_{n-2}^m, stable for |x| <= 1.
+def _legendre_upward(n, m, x, seed=1.0):
+    # Seed P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, times ``seed``, then raise
+    # the degree with (n-m) P_n^m = x(2n-1) P_{n-1}^m - (n+m-1) P_{n-2}^m,
+    # stable for |x| <= 1.
     somx2 = np.sqrt((1.0 - x) * (1.0 + x))
-    pmm = np.ones_like(x)
+    pmm = np.full_like(x, seed)
     fact = 1.0
     for _ in range(m):
         pmm = pmm * (-fact) * somx2
@@ -198,25 +224,10 @@ def spherical_bessel_j(n, x):
 
     Elementary j_0, j_1 plus upward recurrence when n <= x, downward
     recurrence normalized against j_0/j_1 when n > x, truncated Taylor
-    series below ``SMALL_X``.  At x = 0 returns 1 for n = 0, else 0.
+    series below ``SMALL_X``.  At x = 0 returns 1 for n = 0, else 0.  This
+    is ``spherical_bessel_ratio`` at p = 0.
     """
-    if n < 0:
-        raise ValueError(f"order must be non-negative (got n={n})")
-    arr, scalar = _as_array(x, "spherical_bessel_j")
-    if np.any(arr < 0.0):
-        raise ValueError("argument must be non-negative")
-
-    out = np.empty_like(arr)
-    small = arr < SMALL_X
-    if small.any():
-        out[small] = _sph_taylor(n, arr[small])
-    up = (~small) & (arr >= n)
-    if up.any():
-        out[up] = _sph_upward(n, arr[up])
-    down = (~small) & (arr < n)
-    if down.any():
-        out[down] = _sph_downward(n, arr[down])
-    return _maybe_scalar(out, scalar)
+    return spherical_bessel_ratio(n, 0, x)
 
 
 def _sph_taylor(n, x, p=0):
@@ -274,7 +285,7 @@ def spherical_bessel_ratio(n, p, x):
 
     The limit at zero is 0 for n > p and 1/(2n+1)!! for n = p.  Below
     ``SMALL_X`` the ratio is evaluated by the Taylor series of j_n to avoid
-    0/0; elsewhere it is a direct division.
+    0/0; elsewhere j_n (as in ``spherical_bessel_j``) is divided by x^p.
     """
     if n < 0:
         raise ValueError(f"order must be non-negative (got n={n})")
@@ -288,10 +299,11 @@ def spherical_bessel_ratio(n, p, x):
     small = arr < SMALL_X
     if small.any():
         out[small] = _sph_taylor(n, arr[small], p)
-    rest = ~small
-    if rest.any():
-        xr = arr[rest]
-        out[rest] = np.asarray(spherical_bessel_j(n, xr)) / xr ** p
+    up = ~small & (arr >= n)
+    for mask, branch in ((up, _sph_upward), (~small & ~up, _sph_downward)):
+        if mask.any():
+            xs = arr[mask]
+            out[mask] = branch(n, xs) / xs ** p if p > 0 else branch(n, xs)
     return _maybe_scalar(out, scalar)
 
 
@@ -306,9 +318,21 @@ def factorial_ratio(n, m):
         raise ValueError(f"require 0 <= |m| <= n (got n={n}, m={m})")
     if n > FACTORIAL_N_CAP:
         raise OverflowError(f"degree above cap {FACTORIAL_N_CAP} (got n={n})")
-    out = 1.0
-    for j in range(n - mm + 1, n + mm + 1):
-        out *= j
-    if math.isinf(out):
-        raise OverflowError(f"factorial ratio overflows for n={n}, m={m}")
-    return out
+    try:
+        return math.ldexp(*_scaled_factorial_ratio(n, mm))
+    except OverflowError:
+        raise OverflowError(
+            f"factorial ratio overflows for n={n}, m={m}") from None
+
+
+def _scaled_factorial_ratio(n, a):
+    # (n+a)!/(n-a)! = ratio * 2^e: the running product (n-a+1)...(n+a) with
+    # its powers of two moved to e whenever it passes 1e300.  They scale
+    # exactly, so ratio * 2^e is the plain product's rounding, unbounded.
+    ratio, e = 1.0, 0
+    for j in range(n - a + 1, n + a + 1):
+        ratio *= j
+        if ratio > 1e300:
+            ratio, de = math.frexp(ratio)
+            e += de
+    return ratio, e

@@ -18,7 +18,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -181,62 +181,49 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
     )
 
 
-def _closed_ext(n, m, alpha, R):
-    # The Legendre factor vanishes identically for |m| > n, so the integral
-    # family extends by zero there.
-    if n < 0 or abs(m) > n:
-        return 0.0 + 0.0j
-    return closed_form_I(IntegralParams(n, m, alpha, R))
+def _residual(lhs, terms):
+    # |lhs - sum(terms)| / (1 + largest modulus of lhs and the terms),
+    # elementwise for arrays, maximized over the elements.  The builtin abs
+    # keeps the complex moduli of the five-term checks on Python's hypot.
+    scale = 1.0 + reduce(np.maximum, (abs(t) for t in terms), abs(lhs))
+    return float(np.max(abs(lhs - sum(terms)) / scale))
 
 
-def _quad_ext(n, m, alpha, R, spec):
-    if n < 0 or abs(m) > n:
-        return 0.0 + 0.0j, True
-    r = integrate_I(IntegralParams(n, m, alpha, R), spec)
-    return r.value, r.converged
-
-
-def _recurrence_residual(lhs, branches):
-    # branches are the four signed addends of the five-term relation,
-    # prefactor included.
-    rhs = sum(branches)
-    scale = 1.0 + max(abs(lhs), *(abs(b) for b in branches))
-    return abs(lhs - rhs) / scale
-
-
-def _recurrence_coeffs(n, m, alpha, R):
+def _five_term(n, m, alpha, R, evaluate):
+    # Residual of the five-term recurrence in (n, m) for the integral family,
+    # with every term from evaluate(params) -> (value, converged).  The
+    # Legendre factor vanishes identically for |m| > n, so the family
+    # extends by zero there.
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"require 1 <= m <= n-1 (got n={n}, m={m})")
     pref = R * math.sin(alpha) / (2.0 * m * (2.0 * n + 1.0))
-    return (pref * (n - m + 1.0) * (n - m + 2.0),
-            -pref * (n + m) * (n + m - 1.0),
-            pref,
-            -pref)
+    terms = ((n + 1, m - 1, pref * (n - m + 1.0) * (n - m + 2.0)),
+             (n - 1, m - 1, -pref * (n + m) * (n + m - 1.0)),
+             (n - 1, m + 1, pref),
+             (n + 1, m + 1, -pref))
+    lhs, converged = evaluate(IntegralParams(n, m, alpha, R))
+    branches = []
+    for k, j, coeff in terms:
+        value, ok = ((0.0 + 0.0j, True) if abs(j) > k
+                     else evaluate(IntegralParams(k, j, alpha, R)))
+        branches.append(coeff * value)
+        converged = converged and ok
+    return RecurrenceResidual(_residual(lhs, branches), converged)
 
 
 def check_recurrence_F(n, m, alpha, R):
     """Five-term recurrence residual of the closed form, near rounding."""
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"require 1 <= m <= n-1 (got n={n}, m={m})")
-    c1, c2, c3, c4 = _recurrence_coeffs(n, m, alpha, R)
-    lhs = _closed_ext(n, m, alpha, R)
-    branches = (c1 * _closed_ext(n + 1, m - 1, alpha, R),
-                c2 * _closed_ext(n - 1, m - 1, alpha, R),
-                c3 * _closed_ext(n - 1, m + 1, alpha, R),
-                c4 * _closed_ext(n + 1, m + 1, alpha, R))
-    return _recurrence_residual(lhs, branches)
+    return _five_term(n, m, alpha, R,
+                      lambda p: (closed_form_I(p), True)).residual
 
 
 def check_recurrence_I(n, m, alpha, R, spec=QuadratureSpec()):
     """Same five-term residual with every term evaluated by quadrature."""
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"require 1 <= m <= n-1 (got n={n}, m={m})")
-    c1, c2, c3, c4 = _recurrence_coeffs(n, m, alpha, R)
-    lhs, ok0 = _quad_ext(n, m, alpha, R, spec)
-    t1, ok1 = _quad_ext(n + 1, m - 1, alpha, R, spec)
-    t2, ok2 = _quad_ext(n - 1, m - 1, alpha, R, spec)
-    t3, ok3 = _quad_ext(n - 1, m + 1, alpha, R, spec)
-    t4, ok4 = _quad_ext(n + 1, m + 1, alpha, R, spec)
-    residual = _recurrence_residual(lhs, (c1 * t1, c2 * t2, c3 * t3, c4 * t4))
-    return RecurrenceResidual(residual, ok0 and ok1 and ok2 and ok3 and ok4)
+    def quad(p):
+        result = integrate_I(p, spec)
+        return result.value, result.converged
+
+    return _five_term(n, m, alpha, R, quad)
 
 
 def check_derivative(p, spec=QuadratureSpec(), h=1e-5):
@@ -287,12 +274,6 @@ def check_specfun_recurrences(n_max=30, x_grid=None, alpha_grid=None,
     bx = np.asarray(bessel_x_grid if bessel_x_grid is not None
                     else _BESSEL_X_GRID, float)
 
-    def max_residual(lhs, terms):
-        rhs = sum(terms)
-        scale = 1.0 + np.maximum.reduce([np.abs(lhs)]
-                                        + [np.abs(t) for t in terms])
-        return float(np.max(np.abs(lhs - rhs) / scale))
-
     res_degree = 0.0
     res_alpha = 0.0
     sx = np.sqrt((1.0 - x) * (1.0 + x))
@@ -301,19 +282,19 @@ def check_specfun_recurrences(n_max=30, x_grid=None, alpha_grid=None,
     for n in range(1, n_max + 1):
         for m in range(0, n + 1):
             lhs = (2.0 * n + 1.0) * sx * assoc_legendre(n, m, x)
-            res_degree = max(res_degree, max_residual(
+            res_degree = max(res_degree, _residual(
                 lhs, (_legendre_ext(n - 1, m + 1, x),
                       -_legendre_ext(n + 1, m + 1, x))))
-            res_degree = max(res_degree, max_residual(
+            res_degree = max(res_degree, _residual(
                 lhs, ((n - m + 1.0) * (n - m + 2.0) * _legendre_ext(n + 1, m - 1, x),
                       -(n + m) * (n + m - 1.0) * _legendre_ext(n - 1, m - 1, x))))
             if m >= 1:
                 lhs_a = 2.0 * m / sa * assoc_legendre(n, m, ca)
-                res_alpha = max(res_alpha, max_residual(
+                res_alpha = max(res_alpha, _residual(
                     lhs_a, (-(n - m + 1.0) * (n - m + 2.0)
                             * _legendre_ext(n + 1, m - 1, ca),
                             -_legendre_ext(n + 1, m + 1, ca))))
-                res_alpha = max(res_alpha, max_residual(
+                res_alpha = max(res_alpha, _residual(
                     lhs_a, (-(n + m) * (n + m - 1.0)
                             * _legendre_ext(n - 1, m - 1, ca),
                             -_legendre_ext(n - 1, m + 1, ca))))
@@ -321,14 +302,14 @@ def check_specfun_recurrences(n_max=30, x_grid=None, alpha_grid=None,
     res_cyl = 0.0
     for m in range(1, n_max + 1):
         lhs = bessel_j(m, bx)
-        res_cyl = max(res_cyl, max_residual(
+        res_cyl = max(res_cyl, _residual(
             lhs, (bx / (2.0 * m) * bessel_j(m - 1, bx),
                   bx / (2.0 * m) * bessel_j(m + 1, bx))))
 
     res_sph = 0.0
     for n in range(1, n_max + 1):
         lhs = spherical_bessel_j(n, bx)
-        res_sph = max(res_sph, max_residual(
+        res_sph = max(res_sph, _residual(
             lhs, (bx / (2.0 * n + 1.0) * spherical_bessel_j(n - 1, bx),
                   bx / (2.0 * n + 1.0) * spherical_bessel_j(n + 1, bx))))
 

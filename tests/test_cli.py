@@ -1,5 +1,9 @@
+import csv
+import io
+import itertools
 import json
 import math
+import time
 
 import pytest
 
@@ -52,11 +56,22 @@ class TestEval:
         ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "nan"],
         ["--n", "171", "--m", "-5", "--alpha", "1.0", "--R", "1.0"],
         ["--n", "200", "--m", "0", "--alpha", "1.0", "--R", "1.0"],
+        ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
     ])
     def test_invalid_inputs_exit_2(self, capsys, flags):
         code, _, err = run(capsys, ["eval"] + flags)
         assert code == 2
         assert err.startswith("invalid input:")
+
+    def test_negative_order_past_factorial_range(self, capsys):
+        # 200!/0! overflows a double; mpmath gives I = 5.609266957532786e-198.
+        code, out, err = run(capsys, ["eval", "--n", "100", "--m", "-100",
+                                      "--alpha", "1.0", "--R", "120"])
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["re"] == pytest.approx(5.609266957532786e-198,
+                                          rel=1e-13, abs=0.0)
+        assert rec["im"] == 0
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["eval", "--n", "0", "--m", "0",
@@ -117,6 +132,18 @@ class TestQuad:
         assert code == 3
         assert json.loads(out)["panels"] == 8
         assert "converge" in err
+
+    @pytest.mark.parametrize("flags", [
+        # P_170^170(cos 1) ~ 8.5e343 leaves the double range.
+        ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
+        ["--n", "2", "--m", "1", "--alpha", "1.0", "--R", "2.0",
+         "--nodes-per-panel", "1025"],
+    ])
+    def test_overflow_and_node_order_cap_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, ["quad"] + flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
 
     def test_unset_flags_take_spec_defaults(self, capsys, monkeypatch):
         specs = []
@@ -287,12 +314,59 @@ class TestTable:
         ["--alpha", "4.0", "--R", "2.0"],
         ["--n-max", "175", "--m", "-172", "--alpha", "1.0", "--R", "2.0"],
         ["--method", "quad", "--alpha", "1.0", "--R", "1e300"],
+        ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
+        ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
+         "--method", "quad"],
     ])
     def test_invalid_point_exits_2(self, capsys, flags):
         code, out, err = run(capsys, ["table", "--n-max", "1"] + flags)
         assert code == 2
         assert out == ""
         assert err.startswith("invalid input:")
+
+
+class TestCsvMatchesJson:
+    # Every CSV cell is the JSON field named by its header column, rendered
+    # the same way, blank where the record lacks it; verify's failures cell
+    # is the count.  A step clock makes the timing fields of both runs equal.
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--n", "3", "--m", "-2", "--alpha", "0.37", "--R", "11.25"],
+        ["quad", "--n", "2", "--m", "1", "--alpha", "1.0", "--R", "2.0"],
+        ["quad", "--n", "2", "--m", "1", "--alpha", "1.0", "--R", "2.0",
+         "--abs-tol", "1e-30", "--rel-tol", "1e-30", "--max-refinements", "1"],
+        ["table", "--n-max", "2", "--all-m", "--alpha", "1.0",
+         "--R", "7.5", "--R", "0"],
+        ["table", "--n-max", "1", "--all-m", "--alpha", "1.0", "--R", "2.0",
+         "--compare"],
+        ["verify", "--seed", "5", "--cases", "8"],
+        ["verify", "--seed", "1", "--cases", "4",
+         "--abs-tol", "1e-30", "--rel-tol", "1e-30"],
+        ["bench", "--n-max", "1", "--R-max", "5", "--reps", "2"],
+    ])
+    def test_every_cell_is_the_json_field(self, capsys, monkeypatch, argv):
+        outputs = []
+        for fmt in ("json", "csv"):
+            clock = itertools.count()
+            monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+            code, out, _ = run(capsys, argv + ["--format", fmt])
+            outputs.append((code, out))
+        (code_j, out_j), (code_c, out_c) = outputs
+        assert code_j == code_c
+        # Tokens stay as rendered text, so -0 and 17-digit floats compare
+        # exactly.
+        payload = json.loads(out_j, parse_int=str, parse_float=str)
+        records = (payload["rows"] if argv[0] == "bench"
+                   else payload if isinstance(payload, list) else [payload])
+        header, *rows = csv.reader(io.StringIO(out_c))
+        assert len(rows) == len(records) >= 1
+        for rec, row in zip(records, rows):
+            assert set(rec) <= set(header)
+            want = ["" if col not in rec
+                    else str(len(rec[col])) if isinstance(rec[col], list)
+                    else str(rec[col]) for col in header]
+            assert row == want
+        if argv[0] == "verify":
+            assert header == list(payload)
 
 
 class TestRendering:

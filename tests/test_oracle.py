@@ -34,6 +34,13 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
 
+    def test_node_order_cap(self):
+        # leggauss(order) allocates order^2 outside the node cap.
+        assert lbk.oracle.MAX_NODES_PER_PANEL == 1024
+        QuadratureSpec(nodes_per_panel=1024)
+        with pytest.raises(ValueError, match="nodes_per_panel"):
+            QuadratureSpec(nodes_per_panel=1025)
+
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.base_panels is None
@@ -223,6 +230,17 @@ class TestIntegrateLock:
         with pytest.raises(ValueError):
             integrate_lock(1, 1, -1.0, 1)
 
+    @pytest.mark.parametrize("args", [
+        (2, 1, 1.0, 2), (2, 1, 1.0, 0), (1, 2, 1.0, 1), (-1, 0, 1.0, 1),
+        (1, -2, 1.0, 1), (1, 1, -1.0, 1), (1, 1, math.nan, 1),
+    ])
+    def test_domain_shared_with_closed_form(self, args):
+        with pytest.raises(ValueError) as closed:
+            lock_closed_form(*args)
+        with pytest.raises(ValueError) as quad:
+            integrate_lock(*args)
+        assert str(quad.value) == str(closed.value)
+
 
 class TestIntegratePoissonExp:
     def test_trivials(self):
@@ -237,6 +255,21 @@ class TestIntegratePoissonExp:
         for s, x in ((0, 3.0), (2, 11.0), (5, 47.0)):
             q = integrate_poisson_exp(s, x)
             assert abs(q.value.imag) <= 1e-12
+
+    @pytest.mark.parametrize("s, x", [(-1, 1.0), (2, -1.0), (2, math.nan)])
+    def test_domain_shared_with_closed_form(self, s, x):
+        with pytest.raises(ValueError) as closed:
+            poisson_closed_form(s, x)
+        with pytest.raises(ValueError) as quad:
+            integrate_poisson_exp(s, x)
+        assert str(quad.value) == str(closed.value)
+
+    def test_moment_cap_is_closed_form_only(self):
+        with pytest.raises(OverflowError):
+            poisson_closed_form(151, 1.0)
+        with pytest.raises(OverflowError):
+            poisson_closed_form(151, -1.0)
+        assert integrate_poisson_exp(151, 0.0).converged
 
 
 class TestIntegrateParityNull:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -76,6 +78,47 @@ class TestAssocLegendre:
     def test_domain_errors(self, n, m, x):
         with pytest.raises(ValueError):
             assoc_legendre(n, m, x)
+
+    @pytest.mark.parametrize("n, m, x", [
+        (100, -100, math.cos(1.0)), (120, -100, math.cos(0.7)),
+        (170, -100, math.cos(1.3)), (90, -60, math.cos(2.0)),
+        (170, -140, 0.0), (150, -150, 0.0),
+    ])
+    def test_negative_order_past_factorial_range(self, n, m, x):
+        # (n+|m|)!/(n-|m|)! overflows a double in all but (90, -60); mpmath's
+        # legenp (type 2) carries the same Condon-Shortley phase.
+        with mpmath.workdps(40):
+            want = float(mpmath.legenp(n, m, mpmath.mpf(x), type=2))
+        assert assoc_legendre(n, m, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_negative_order_bit_exact_in_double_range(self):
+        # Inside the range of factorial_ratio the power-of-two scaling is
+        # the plain formula, rounding for rounding; the ratio passes 1e300
+        # (and is rescaled) in all but (170, 40).
+        x = np.linspace(-1.0, 1.0, 41)
+        for n, m in ((85, 85), (120, 74), (170, 68), (170, 40)):
+            want = (-1.0) ** m / factorial_ratio(n, m) * assoc_legendre(n, m, x)
+            assert np.array_equal(assoc_legendre(n, -m, x), want)
+
+    @pytest.mark.parametrize("n, m, x", [
+        (170, 170, 0.3), (170, 170, math.cos(1.0)), (160, 150, 0.0),
+        (170, 160, np.array([0.999, 0.3])),
+    ])
+    def test_overflow_raises_without_warning(self, n, m, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                assoc_legendre(n, m, x)
+
+    def test_largest_orders_stay_finite(self):
+        # Near u = +-1 the sine factor keeps P_170^170 in range; negative
+        # orders never leave it (|P_n^{-m}| <= 1).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(assoc_legendre(170, 170, 0.999))
+            x = np.linspace(-1.0, 1.0, 21)
+            for m in (-170, -151, -100):
+                assert np.all(np.abs(assoc_legendre(170, m, x)) <= 1.0)
 
     def test_array_matches_scalars(self):
         x = np.array([-0.7, 0.0, 0.3, 1.0])
@@ -234,6 +277,18 @@ class TestSphericalBesselRatio:
                 got = spherical_bessel_ratio(n, p, x)
                 want = sp.spherical_jn(n, x) / x ** p
                 assert got == pytest.approx(want, rel=1e-9)
+
+    def test_is_one_dispatch_with_j(self):
+        # j_n is the p = 0 case, and p > 0 divides each branch by x^p.
+        x = np.concatenate([[0.0, 1e-5, 0.00999], np.geomspace(0.01, 2000.0, 200)])
+        big = x >= 0.01
+        for n in (0, 1, 7, 40, 170):
+            j = spherical_bessel_j(n, x)
+            assert np.array_equal(spherical_bessel_ratio(n, 0, x), j)
+            # x^p stays inside the double range up to n = 40 on this grid.
+            for p in ({min(1, n), n // 2, n} - {0} if n <= 40 else ()):
+                got = spherical_bessel_ratio(n, p, x[big])
+                assert np.array_equal(got, j[big] / x[big] ** p)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

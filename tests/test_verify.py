@@ -127,6 +127,9 @@ class TestRecurrences:
         assert r.converged and r.residual <= 1e-8
         r = check_recurrence_I(5, 2, 1.0, 10.0)
         assert r.converged and r.residual <= 1e-8
+        # m = n - 1: the (n-1, m+1) term is the zero extension.
+        r = check_recurrence_I(5, 4, 1.1, 7.0)
+        assert r.converged and r.residual <= 1e-8
 
     def test_quadrature_residual_small_radius(self):
         r = check_recurrence_I(3, 1, 1.0, 1e-10)
