@@ -16,18 +16,18 @@ from dataclasses import dataclass
 
 from .specfun import (
     FACTORIAL_N_CAP,
+    _scaled_factorial_ratio,
+    _sph_ratio_scaled,
     assoc_legendre,
-    factorial_ratio,
     spherical_bessel_j,
     spherical_bessel_j_prime,
-    spherical_bessel_ratio,
 )
 
 # Partial sums accept at most this many terms; coefficients are built by
 # term ratios so no factorial is ever formed.
 SERIES_S_MAX = 200
 
-# 2^{s+1} s! overflows double precision shortly above this.
+# The documented moment range; 2^{s+1} s! alone overflows just above it.
 MOMENT_S_CAP = 150
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -95,13 +95,17 @@ def lock_closed_form(n, m, R, sign):
     """On-axis integral closed form 2 (sign*i)^{n+|m|} (n+|m|)!/(n-|m|)! j_n(R)/R^{|m|}.
 
     Finite at R = 0 through the j_n/R^p limit.  ``sign`` selects the phase
-    of the exponential in the matching integral and must be +1 or -1.
+    of the exponential in the matching integral and must be +1 or -1.  The
+    factorial ratio and j_n/R^{|m|} meet as mantissas and binary exponents
+    and round once: OverflowError only where the value leaves the double
+    range (n = |m| = 170 at R = 1), subnormal or 0 below it.
     """
     _check_lock_args(n, m, R, sign)
     am = abs(m)
-    return (2.0 * i_phase(sign * (n + am))
-            * factorial_ratio(n, am)
-            * spherical_bessel_ratio(n, am, R))
+    ratio, e = _scaled_factorial_ratio(n, am)
+    mant, e_j, _ = _sph_ratio_scaled(n, am, R)
+    return i_phase(sign * (n + am)) * math.ldexp(
+        ratio * float(mant), e + int(e_j) + 1)
 
 
 def _check_moment_args(s, x):
@@ -117,12 +121,14 @@ def poisson_closed_form(s, x):
 
     Matches the integral of sin(theta) exp(i x cos(theta)) sin^{2s}(theta);
     finite at x = 0 where it equals 2^{s+1} s!/(2s+1)!!.  Capped at
-    s <= ``MOMENT_S_CAP``; the prefactor overflows beyond that.
+    s <= ``MOMENT_S_CAP``.  s! 2^{s+1} and j_s/x^s meet as mantissas and
+    binary exponents and round once; below the double range, subnormal or 0.
     """
     if s > MOMENT_S_CAP:
         raise OverflowError(f"moment index above cap {MOMENT_S_CAP} (got s={s})")
     _check_moment_args(s, x)
-    return 2.0 ** (s + 1) * float(math.factorial(s)) * spherical_bessel_ratio(s, s, x)
+    mant, e, _ = _sph_ratio_scaled(s, s, x)
+    return math.ldexp(math.factorial(s) * float(mant), s + 1 + int(e))
 
 
 def _check_series_args(R, alpha, S):

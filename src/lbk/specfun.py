@@ -7,11 +7,13 @@ its real argument and is pure, with a single evaluation path per function:
 negative Legendre orders scale the positive-order recurrence, and j_n(x) is
 the p = 0 case of the scaled j_n(x)/x^p.
 
-J_m and j_n are the minimal solutions of f_{k-1} = (2k + s)/x f_k - f_{k+1}
-(s = 0 and s = 1) and share one rescaled Miller backward-recurrence loop,
-each with its own normalization.  The P_n^m degree recurrence is the only
-Legendre recurrence in the package; the quadrature oracle builds its
-extended-precision Gauss rule on it.
+J_k and y_k = j_k(x)/x^k are the minimal solutions of J_{k-1} = 2k/x J_k -
+J_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1}; they share one Miller loop,
+each with its own normalization.  The loop rescales by counted powers of
+two, so j_n(x)/x^p is a mantissa and a binary exponent, rounded once, and
+never passes through a j_n or x^p outside the double range.  The P_n^m
+degree recurrence is the only Legendre recurrence in the package; the
+quadrature oracle builds its extended-precision Gauss rule on it.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -27,16 +29,14 @@ import numpy as np
 # near 1e-11 relative.
 SERIES_X_MAX = 12.0
 
-# Spherical Bessel functions switch to a truncated Taylor series below this
-# argument, avoiding 0/0 in the elementary forms.
-SMALL_X = 1e-2
-
 # Factorial ratios are evaluated in double precision; degrees above this
 # overflow for large orders.
 FACTORIAL_N_CAP = 170
 
+# The Miller loop multiplies values past the limit by 2^-_RESCALE_BITS; a
+# power of two scales exactly, so the rescale count is an exact exponent.
 _RESCALE_LIMIT = 1e250
-_RESCALE = 1e-250
+_RESCALE_BITS = 830
 
 
 def _as_array(x, name):
@@ -147,7 +147,10 @@ def bessel_j(m, x):
         out[series] = _bessel_series(mm, ax[series])
     rest = ~series
     if rest.any():
-        out[rest] = _bessel_miller(mm, ax[rest])
+        # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
+        val, j0, _, even_sum, drop = _backward(mm, ax[rest], 0)
+        out[rest] = np.ldexp(val / (2.0 * even_sum + j0),
+                             -_RESCALE_BITS * drop)
     return _maybe_scalar(signs * out, scalar)
 
 
@@ -170,100 +173,61 @@ def _bessel_series(m, x):
 
 
 def _backward(order, x, shift):
-    # Miller's backward recurrence for the minimal solution of
-    # f_{k-1} = (2k + shift)/x f_k - f_{k+1}: shift 0 gives J_k, shift 1
-    # gives j_k, each up to one unknown factor per element.  The start order
-    # sits far enough above max(order, x) that the seed error has decayed
-    # below extended precision.  Returns f_order, f_0, f_1 and
-    # sum_{k>=1} f_{2k}, all on the same per-element scale.  Only shift 0's
-    # Neumann normalization uses that sum; for shift 1 it is returned as
-    # zeros, which spares the j_n path an array add every other step.
+    # Miller's backward recurrence for a minimal solution, up to one factor
+    # per element: shift 0 runs f_{k-1} = 2k/x f_k - f_{k+1} (J_k), shift 1
+    # f_{k-1} = (2k+1) f_k - x^2 f_{k+1} (y_k = j_k(x)/x^k; Gil, Segura &
+    # Temme 2007), which divides by nothing and is exact at x = 0.  The start
+    # order puts the seed error below extended precision.  Returns f_order,
+    # f_0, f_1, sum_{k>=1} f_{2k} (shift 0's normalization; zeros for shift
+    # 1, sparing it an array add every other step) and drop: f_order is
+    # 2^(_RESCALE_BITS * drop) times the common scale of the others.
     big = max(order, int(math.ceil(float(np.max(x)))), 1)
+    x = x.reshape(()) if x.size == 1 else x  # 0-d: scalar steps, same bits
     start = big + int(math.ceil(14.0 * big ** (1.0 / 3.0))) + 14
-    # Multiplying by 1/x is markedly faster than dividing on large node
-    # arrays.
-    inv_x = 1.0 / x
+    if shift:
+        x2 = x * x
+        a, b = 1.0, float(np.max(x2))
+    else:
+        # Multiplying by 1/x beats dividing on large node arrays.
+        inv_x = 1.0 / x
+        a, b = float(np.max(inv_x)), 1.0
     fkp1 = np.zeros_like(x)
     fk = np.full_like(x, 1e-30)
     even_sum = fkp1
-    val = fkp1
+    val, drop = fkp1, 0
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits of
     # J_m.  bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which
     # the 1e-3 margin absorbs, so the test runs only where it could fire.
-    grow = float(np.max(inv_x))
     bk, bkp1 = 1e-30, 0.0
-    # Every update below rebinds its name, so val may alias fk.
     for k in range(start, 0, -1):
-        fk, fkp1 = (2.0 * k + shift) * inv_x * fk - fkp1, fk
-        bk, bkp1 = (2.0 * k + shift) * grow * bk + bkp1, bk
+        if shift:
+            fk, fkp1 = (2.0 * k + 1.0) * fk - x2 * fkp1, fk
+        else:
+            fk, fkp1 = 2.0 * k * inv_x * fk - fkp1, fk
+        bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
         if k - 1 == order:
-            val = fk
+            val, drop = fk, 0
         if shift == 0 and (k - 1) % 2 == 0 and k > 1:
             even_sum = even_sum + fk
         if bk > 1e-3 * _RESCALE_LIMIT:
             clip = np.abs(fk) > _RESCALE_LIMIT
             if clip.any():
-                f = np.where(clip, _RESCALE, 1.0)
+                f = np.where(clip, 2.0 ** -_RESCALE_BITS, 1.0)
                 fk = fk * f
                 fkp1 = fkp1 * f
                 even_sum = even_sum * f
-                val = val * f
+                drop = drop + clip
             bk = min(bk, _RESCALE_LIMIT)
-    return val, fk, fkp1, even_sum
-
-
-def _bessel_miller(m, x):
-    # Normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
-    val, j0, _, even_sum = _backward(m, x, 0)
-    return val / (2.0 * even_sum + j0)
+    return val, fk, fkp1, even_sum, drop
 
 
 def spherical_bessel_j(n, x):
     """Spherical Bessel function of the first kind, j_n(x), n >= 0.
 
-    Elementary j_0, j_1 plus upward recurrence when n <= x, downward
-    recurrence normalized against j_0/j_1 when n > x, truncated Taylor
-    series below ``SMALL_X``.  At x = 0 returns 1 for n = 0, else 0.  This
-    is ``spherical_bessel_ratio`` at p = 0.
+    ``spherical_bessel_ratio`` at p = 0; at x = 0, 1 for n = 0, else 0.
     """
     return spherical_bessel_ratio(n, 0, x)
-
-
-def _sph_taylor(n, x, p=0):
-    # j_n(x)/x^p = x^{n-p}/(2n+1)!! * sum_k (-x^2/2)^k / (k! (2n+3)...(2n+2k+1));
-    # five terms reach full precision for x < SMALL_X.
-    pref = np.ones_like(x)
-    for k in range(1, n + 1):
-        pref = pref * (x if k <= n - p else 1.0) / (2.0 * k + 1.0)
-    q = 0.5 * x * x
-    term = pref.copy()
-    total = pref.copy()
-    for k in range(1, 6):
-        term = term * (-q / (k * (2.0 * n + 2.0 * k + 1.0)))
-        total = total + term
-    return total
-
-
-def _sph_upward(n, x):
-    j0 = np.sin(x) / x
-    if n == 0:
-        return j0
-    j1 = (j0 - np.cos(x)) / x
-    for k in range(1, n):
-        j1, j0 = (2.0 * k + 1.0) / x * j1 - j0, j1
-    return j1
-
-
-def _sph_downward(n, x):
-    val, f0, f1, _ = _backward(n, x, 1)
-    # Normalize against whichever elementary value is larger in magnitude;
-    # j_0 and j_1 have no common zeros.
-    j0 = np.sin(x) / x
-    j1 = (j0 - np.cos(x)) / x
-    use0 = np.abs(j0) >= np.abs(j1)
-    scale = np.where(use0, j0, j1) / np.where(use0, f0, f1)
-    return val * scale
 
 
 def spherical_bessel_j_prime(n, x):
@@ -283,10 +247,21 @@ def spherical_bessel_j_prime(n, x):
 def spherical_bessel_ratio(n, p, x):
     """j_n(x) / x^p for 0 <= p <= n, finite at x = 0.
 
-    The limit at zero is 0 for n > p and 1/(2n+1)!! for n = p.  Below
-    ``SMALL_X`` the ratio is evaluated by the Taylor series of j_n to avoid
-    0/0; elsewhere j_n (as in ``spherical_bessel_j``) is divided by x^p.
+    The limit at zero is 0 for n > p and 1/(2n+1)!! for n = p.  Where
+    x >= max(n, 1), the upward recurrence gives j_n; elsewhere the Miller
+    loop gives y_n = j_n(x)/x^n, normalized by y_0 = sin(x)/x (1 at x = 0)
+    or, where |j_1| > |j_0|, by y_1 = j_1/x.  x^(-p) or x^(n-p) enters as
+    a power of frexp(x)'s mantissa and a multiple of its exponent, and the
+    result is rounded once: values below the double range come out
+    subnormal or 0, never nan.
     """
+    mant, e, scalar = _sph_ratio_scaled(n, p, x)
+    return _maybe_scalar(np.ldexp(mant, e), scalar)
+
+
+def _sph_ratio_scaled(n, p, x):
+    # j_n(x)/x^p = mant * 2^e, |mant| <= 1.  The kernel's on-axis closed
+    # forms fold their prefactors into this pair before rounding.
     if n < 0:
         raise ValueError(f"order must be non-negative (got n={n})")
     if p < 0 or p > n:
@@ -294,17 +269,36 @@ def spherical_bessel_ratio(n, p, x):
     arr, scalar = _as_array(x, "spherical_bessel_ratio")
     if np.any(arr < 0.0):
         raise ValueError("argument must be non-negative")
-
-    out = np.empty_like(arr)
-    small = arr < SMALL_X
-    if small.any():
-        out[small] = _sph_taylor(n, arr[small], p)
-    up = ~small & (arr >= n)
-    for mask, branch in ((up, _sph_upward), (~small & ~up, _sph_downward)):
-        if mask.any():
-            xs = arr[mask]
-            out[mask] = branch(n, xs) / xs ** p if p > 0 else branch(n, xs)
-    return _maybe_scalar(out, scalar)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at x = 0
+        j0 = np.sin(arr) / arr
+        j1 = (j0 - np.cos(arr)) / arr
+    mant = np.empty_like(arr)
+    e = np.zeros(arr.shape, dtype=int)
+    up = arr >= max(n, 1)
+    if up.any():
+        xs, a, b = arr[up], j0[up], j1[up]
+        for k in range(1, n):
+            b, a = (2.0 * k + 1.0) / xs * b - a, b
+        mant[up] = b if n else a
+    down = ~up
+    if down.any():
+        xs, a, b = arr[down], j0[down], j1[down]
+        val, f0, f1, _, drop = _backward(n, xs, 1)
+        # Normalize by y_0 = j_0 (1 at x = 0) or, where |j_1| > |j_0|, by
+        # y_1 = j_1/x; j_0 and j_1 have no common zeros.
+        use1 = np.abs(b) > np.abs(a)
+        y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
+        md, ed = np.frexp(val / np.where(use1, f1 * xs, f0) * y)
+        mant[down], e[down] = md, ed - _RESCALE_BITS * drop
+    # Times x^q: frexp(x)'s mantissa^c and exponent*c, |c| <= 1000 per step.
+    q = np.where(up, -p, n - p)
+    while q.any():
+        c = np.clip(q, -1000, 1000)
+        m, ex = np.frexp(arr)
+        mant, de = np.frexp(mant * m ** c)
+        e = e + de + ex * c
+        q = q - c
+    return mant, e, scalar
 
 
 def factorial_ratio(n, m):

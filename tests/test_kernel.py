@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,26 @@ from lbk.kernel import (
 from lbk.specfun import factorial_ratio, spherical_bessel_j
 
 FOUR_OVER_PI = 1.2732395447351628
+
+
+def _ratio_mp(n, p, x):
+    # j_n(x)/x^p = sqrt(pi/(2x)) J_{n+1/2}(x)/x^p as an mpf (40 digits).
+    if x == 0.0:
+        return mpmath.mpf(0 if n > p else 1) / mpmath.fac2(2 * n + 1)
+    x = mpmath.mpf(x)
+    return (mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(n + 0.5, x)
+            / x ** p)
+
+
+def _lock_mp(n, m, R):
+    with mpmath.workdps(40):
+        return float(2 * mpmath.factorial(n + m) / mpmath.factorial(n - m)
+                     * _ratio_mp(n, m, R))
+
+
+def _poisson_mp(s, x):
+    with mpmath.workdps(40):
+        return 2 ** (s + 1) * mpmath.factorial(s) * _ratio_mp(s, s, x)
 
 
 class TestIPhase:
@@ -67,7 +89,8 @@ class TestClosedFormI:
 
     def test_frozen_high_order_case(self):
         got = closed_form_I(IntegralParams(12, -7, 2.1, 30.0))
-        assert got.imag == pytest.approx(-4.5565269915099733e-10, rel=1e-11)
+        assert got.imag == pytest.approx(-4.5565269915099733e-10, rel=1e-11,
+                                         abs=0.0)
 
     @given(st.integers(0, 20), st.data(),
            st.floats(0.01, math.pi - 0.01), st.floats(0.0, 50.0))
@@ -134,6 +157,27 @@ class TestLockClosedForm:
         want = 2.0 * factorial_ratio(2, 2) / 15.0  # (2 i^4) 4!/0! / (5!!)
         assert lock_closed_form(2, 2, 0.0, 1) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("n, m, R", [
+        (100, 100, 1e3), (170, 150, 1e4), (150, 150, 1.0),
+    ])
+    def test_past_factorial_range(self, n, m, R):
+        # (n+m)!/(n-m)! overflows a double although the value does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lock_closed_form(n, m, R, 1) / i_phase(n + m)
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(_lock_mp(n, m, R), rel=1e-13, abs=0.0)
+
+    def test_overflow_only_past_double_range(self):
+        # 2 * 340! j_170(R)/R^170 is 6.4e355 at R = 1 and 1.0e31 at R = 1e4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                lock_closed_form(170, 170, 1.0, 1)
+            got = lock_closed_form(170, 170, 1e4, 1)
+        assert got.real == pytest.approx(_lock_mp(170, 170, 1e4), rel=1e-13,
+                                         abs=0.0)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             lock_closed_form(2, 1, 1.0, 0)
@@ -155,6 +199,28 @@ class TestPoissonClosedForm:
         # 2^{s+1} s!/(2s+1)!!
         assert poisson_closed_form(3, 0.0) == pytest.approx(
             2.0**4 * 6.0 / 105.0, rel=1e-14)
+
+    @pytest.mark.parametrize("s, x", [
+        (100, 0.011), (120, 0.1), (140, 0.5), (150, 0.5),
+        (150, 160.0), (150, 200.0), (100, 1e4), (150, 1e4),
+    ])
+    def test_no_silent_zero(self, s, x):
+        # j_s(x) underflows (small x) or x^s overflows (large x) on its own.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poisson_closed_form(s, x)
+        assert got == pytest.approx(float(_poisson_mp(s, x)), rel=1e-13,
+                                    abs=0.0)
+
+    @given(st.integers(0, 150), st.floats(0.0, 1e4))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_and_nonzero_over_domain(self, s, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poisson_closed_form(s, x)
+        assert math.isfinite(got)
+        if abs(_poisson_mp(s, x)) >= 1e-290:
+            assert got != 0.0
 
     def test_errors(self):
         with pytest.raises(OverflowError):

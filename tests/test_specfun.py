@@ -21,6 +21,16 @@ from lbk.specfun import (
 J0_FIRST_ZERO = 2.404825557695773  # mpmath besseljzero(0, 1)
 
 
+def _ratio_mp(n, p, x):
+    # j_n(x)/x^p = sqrt(pi/(2x)) J_{n+1/2}(x)/x^p, rounded to a double.
+    with mpmath.workdps(40):
+        if x == 0.0:
+            return 0.0 if n > p else float(1 / mpmath.fac2(2 * n + 1))
+        x = mpmath.mpf(float(x))
+        return float(mpmath.sqrt(mpmath.pi / (2 * x))
+                     * mpmath.besselj(n + 0.5, x) / x ** p)
+
+
 class TestAssocLegendre:
     @pytest.mark.parametrize("n, m, x, want", [
         (0, 0, 0.3, 1.0),
@@ -212,7 +222,7 @@ class TestSphericalBessel:
             assert np.max(np.abs(lhs - (a + b)) / scale) < 1e-10
 
     def test_branches_agree_with_scipy_at_threshold(self):
-        # Taylor just below 1e-2, recurrence just above
+        # just below and above 1e-2, both in the Miller regime (x < max(n, 1))
         for n in range(0, 12):
             for x in (0.00999999, 0.01000001):
                 got = spherical_bessel_j(n, x)
@@ -261,7 +271,8 @@ class TestSphericalBesselRatio:
         assert spherical_bessel_ratio(2, 0, 2.0) == spherical_bessel_j(2, 2.0)
         assert spherical_bessel_ratio(3, 2, 0.0) == 0.0
         # limit 1/(2n+1)!!
-        assert spherical_bessel_ratio(5, 5, 0.0) == pytest.approx(1.0 / 10395.0, rel=1e-14)
+        assert spherical_bessel_ratio(5, 5, 0.0) == pytest.approx(
+            1.0 / 10395.0, rel=1e-14, abs=0.0)
 
     def test_matches_direct_division(self):
         x = np.geomspace(0.02, 50.0, 30)
@@ -276,19 +287,37 @@ class TestSphericalBesselRatio:
             for x in (0.00999999, 0.01000001):
                 got = spherical_bessel_ratio(n, p, x)
                 want = sp.spherical_jn(n, x) / x ** p
-                assert got == pytest.approx(want, rel=1e-9)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_is_one_dispatch_with_j(self):
-        # j_n is the p = 0 case, and p > 0 divides each branch by x^p.
+        # j_n is the p = 0 case; p > 0 agrees with mpmath in both regimes,
+        # with values below the double range (n = 170) rounding to 0.
         x = np.concatenate([[0.0, 1e-5, 0.00999], np.geomspace(0.01, 2000.0, 200)])
-        big = x >= 0.01
         for n in (0, 1, 7, 40, 170):
             j = spherical_bessel_j(n, x)
             assert np.array_equal(spherical_bessel_ratio(n, 0, x), j)
-            # x^p stays inside the double range up to n = 40 on this grid.
-            for p in ({min(1, n), n // 2, n} - {0} if n <= 40 else ()):
-                got = spherical_bessel_ratio(n, p, x[big])
-                assert np.array_equal(got, j[big] / x[big] ** p)
+            for p in {min(1, n), n // 2, n} - {0}:
+                got = spherical_bessel_ratio(n, p, x)
+                for g, v in zip(got, x):
+                    want = _ratio_mp(n, p, v)
+                    assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_limits_at_zero_and_below_double_range(self):
+        # 1/(2n+1)!! at x = 0.  For 162 <= n <= 170 on [0.01, 0.0125] both
+        # j_n(x) and x^n underflow, so dividing them gives 0/0; the true
+        # value (< 1e-330) rounds to 0, as mpmath's does.
+        x = np.concatenate([[0.011], np.linspace(0.01, 0.0125, 51)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spherical_bessel_j(0, 0.0) == 1.0
+            for n in range(0, 171):
+                assert spherical_bessel_ratio(n, n, 0.0) == pytest.approx(
+                    _ratio_mp(n, n, 0.0), rel=1e-13, abs=0.0)
+            for n in range(162, 171):
+                got = spherical_bessel_ratio(n, n, x)
+                assert np.all(np.isfinite(got))
+                assert list(got) == [_ratio_mp(n, n, v) for v in x]
+                assert spherical_bessel_ratio(n, n, 0.011) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
