@@ -10,6 +10,7 @@ LBK_WORKERS, which caps sweep parallelism.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -312,10 +313,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # Built on the first main() call, not at import, and reused: building it
+    # costs about a millisecond, and parse_args keeps no state between calls.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -104,8 +104,12 @@ def lock_closed_form(n, m, R, sign):
     am = abs(m)
     ratio, e = _scaled_factorial_ratio(n, am)
     mant, e_j, _ = _sph_ratio_scaled(n, am, R)
-    return i_phase(sign * (n + am)) * math.ldexp(
-        ratio * float(mant), e + int(e_j) + 1)
+    try:
+        value = math.ldexp(ratio * float(mant), e + int(e_j) + 1)
+    except OverflowError:
+        raise OverflowError(f"on-axis integral overflows double precision "
+                            f"for n={n}, m={m}, R={R}") from None
+    return i_phase(sign * (n + am)) * value
 
 
 def _check_moment_args(s, x):

@@ -7,13 +7,18 @@ its real argument and is pure, with a single evaluation path per function:
 negative Legendre orders scale the positive-order recurrence, and j_n(x) is
 the p = 0 case of the scaled j_n(x)/x^p.
 
-J_k and y_k = j_k(x)/x^k are the minimal solutions of J_{k-1} = 2k/x J_k -
-J_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1}; they share one Miller loop,
-each with its own normalization.  The loop rescales by counted powers of
-two, so j_n(x)/x^p is a mantissa and a binary exponent, rounded once, and
-never passes through a j_n or x^p outside the double range.  The P_n^m
-degree recurrence is the only Legendre recurrence in the package; the
-quadrature oracle builds its extended-precision Gauss rule on it.
+J_m(x) has three regimes: the power series at small x; for |x| >=
+max(ASYM_X_MIN, |m|), J_0 and J_1 from Hankel's asymptotic expansion and
+the upward recurrence to |m|, whose cost per point does not grow with x;
+and the Miller loop in between, whose start order is then bounded by about
+max(ASYM_X_MIN, |m|).  J_k and y_k = j_k(x)/x^k are the minimal solutions
+of J_{k-1} = 2k/x J_k - J_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1};
+they share one Miller loop, each with its own normalization.  The loop
+rescales by counted powers of two, so j_n(x)/x^p is a mantissa and a
+binary exponent, rounded once, and never passes through a j_n or x^p
+outside the double range.  The P_n^m degree recurrence is the only
+Legendre recurrence in the package; the quadrature oracle builds its
+extended-precision Gauss rule on it.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -25,9 +30,15 @@ import numpy as np
 
 # Cylindrical Bessel regime split: power series below this argument (and
 # below the monotone-term bound 2*sqrt(|m|+1)), Miller downward recurrence
-# with normalization otherwise.  12.0 keeps worst-case series cancellation
-# near 1e-11 relative.
+# with normalization above it, up to the asymptotic regime.  12.0 keeps
+# worst-case series cancellation near 1e-11 relative.
 SERIES_X_MAX = 12.0
+
+# Cylindrical Bessel regime split: for |x| >= max(ASYM_X_MIN, |m|), J_0 and
+# J_1 come from Hankel's asymptotic expansion and J_m from the upward
+# recurrence.  At x >= 25 the expansion's smallest term, about e^(-2x) <
+# 1e-21, lies below the eps of extended precision.
+ASYM_X_MIN = 25.0
 
 # Factorial ratios are evaluated in double precision; degrees above this
 # overflow for large orders.
@@ -131,9 +142,11 @@ def _legendre_upward(n, m, x, seed=1.0):
 def bessel_j(m, x):
     """Cylindrical Bessel function of the first kind, J_m(x), integer m.
 
-    Power series for small arguments, Miller downward recurrence with the
-    J_0 + 2 sum J_{2k} = 1 normalization for the rest.  Negative orders use
-    J_{-m}(x) = (-1)^m J_m(x).
+    Three regimes, by |x|: the power series below max(SERIES_X_MAX,
+    2 sqrt(|m|+1)); for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
+    Hankel's asymptotic expansion and the upward recurrence to |m|, O(|m|)
+    per point; Miller downward recurrence with the J_0 + 2 sum J_{2k} = 1
+    normalization in between.  Negative orders use J_{-m}(x) = (-1)^m J_m(x).
     """
     arr, scalar = _as_array(x, "bessel_j")
     mm = abs(int(m))
@@ -145,7 +158,10 @@ def bessel_j(m, x):
     series = ax < max(SERIES_X_MAX, 2.0 * math.sqrt(mm + 1.0))
     if series.any():
         out[series] = _bessel_series(mm, ax[series])
-    rest = ~series
+    asym = ax >= max(ASYM_X_MIN, mm)
+    if asym.any():
+        out[asym] = _bessel_hankel(mm, ax[asym])
+    rest = ~(series | asym)
     if rest.any():
         # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
         val, j0, _, even_sum, drop = _backward(mm, ax[rest], 0)
@@ -170,6 +186,78 @@ def _bessel_series(m, x):
         if np.all(np.abs(term) <= tol * np.abs(total) + 1e-300):
             break
     return total
+
+
+def _bessel_hankel(m, x):
+    # J_nu = (P cos chi - Q sin chi) sqrt(2/(pi x)), chi = x - (nu/2 + 1/4) pi,
+    # for nu = 0, 1 (DLMF 10.17.3), then J_{k+1} = 2k/x J_k - J_{k-1}, stable
+    # for k <= x.  P and Q are Horner polynomials in z = 1/x^2, cut after the
+    # first terms below eps at the smallest x.  The four polynomials are the
+    # rows of one array, so one numpy call steps all four, and every update
+    # is in place, so the regime holds no more memory than the Miller loop
+    # would.
+    tol = math.log(float(np.finfo(x.dtype).eps) / 4.0)
+    above = _HANKEL_LOG - _HANKEL_POWER * math.log(np.min(x)) > tol
+    terms = np.count_nonzero(above.any(axis=0)) + 1
+    coefs = _HANKEL_PQ[:, :terms].astype(x.dtype)
+    z = 1.0 / x
+    z *= z
+    h = np.empty((4,) + x.shape, dtype=x.dtype)
+    h[...] = coefs[:, -1, None]
+    for i in range(coefs.shape[1] - 2, -1, -1):
+        h *= z
+        h += coefs[:, i, None]
+    del z
+    h[1::2] /= x
+    # cos chi and sin chi are (c + s, s - c)/sqrt 2 at nu = 0 and
+    # (s - c, -(s + c))/sqrt 2 at nu = 1, with c = cos x and s = sin x, so
+    # J_0 sqrt(pi x) = (P_0 + Q_0) c + (P_0 - Q_0) s and
+    # J_1 sqrt(pi x) = (P_1 + Q_1) s - (P_1 - Q_1) c.
+    diff = h[0::2] - h[1::2]
+    h[0::2] += h[1::2]
+    h[1::2] = diff
+    del diff
+    c = np.cos(x)
+    h[0::3] *= c  # P_0 + Q_0 and P_1 - Q_1
+    s = np.sin(x, out=c)
+    h[1:3] *= s   # P_0 - Q_0 and P_1 + Q_1
+    del c, s
+    h[0] += h[1]
+    h[2] -= h[3]
+    h[0::2] /= np.sqrt(4.0 * np.arctan(x.dtype.type(1)) * x)  # pi in x's dtype
+    prev, cur = h[0], h[2]
+    if m == 0:
+        return prev
+    del h
+    for k in range(1, m):
+        # 2k/x rounded once: a shared 1/x would put the same relative error
+        # into every step's coefficient, 4-6x the error near x = m.
+        nxt = (2.0 * k) / x
+        nxt *= cur
+        nxt -= prev
+        prev, cur = cur, nxt
+    return cur
+
+
+def _hankel_coefficients(count):
+    # Rows P_0, Q_0, P_1, Q_1 of Hankel's expansion, count coefficients each,
+    # as polynomials in z = 1/x^2: P_nu = sum_i (-1)^i a_{2i} z^i and
+    # Q_nu x = sum_i (-1)^i a_{2i+1} z^i, from the term ratio a_k = a_{k-1}
+    # (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1, in the widest float.  Also the
+    # power of 1/x that each coefficient carries.
+    k = np.arange(2 * count)
+    a = np.ones((2, 2 * count), dtype=np.longdouble)
+    for j in range(1, 2 * count):
+        a[:, j] = a[:, j - 1] * (np.array([0, 4]) - (2 * j - 1) ** 2) / (8 * j)
+    a *= (-1.0) ** (k // 2)
+    table = np.stack([a[0, 0::2], a[0, 1::2], a[1, 0::2], a[1, 1::2]])
+    return table, np.stack([k[0::2], k[1::2]] * 2)
+
+
+# Up to k = 2 * ASYM_X_MIN the terms a_k / x^k fall with k for every x in
+# the regime, so the terms above eps form a prefix of each row.
+_HANKEL_PQ, _HANKEL_POWER = _hankel_coefficients(int(ASYM_X_MIN))
+_HANKEL_LOG = np.log(np.abs(_HANKEL_PQ).astype(float))
 
 
 def _backward(order, x, shift):

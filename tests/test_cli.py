@@ -390,6 +390,26 @@ class TestRendering:
         assert run(capsys, ["frobnicate"])[0] == 2
         assert run(capsys, [])[0] == 2
 
+    def test_reused_parser_matches_fresh_parser(self, capsys):
+        # main() builds its parser once per process; a rejected argv must not
+        # change what a later call prints or returns.
+        argvs = [
+            ["table", "--n-max", "2", "--m", "1", "--all-m"],  # argparse: 2
+            ["table", "--n-max", "2", "--m", "1", "--R", "2.0"],
+            ["table", "--n-max", "1", "--all-m", "--format", "csv"],
+            ["eval", "--n", "2", "--m", "1", "--alpha", "1.0"],  # missing --R
+            ["eval", "--n", "2", "--m", "1", "--alpha", "1.0", "--R", "2.0"],
+            ["quad", "--n", "1", "--m", "0", "--alpha", "1.0", "--R", "3.0",
+             "--base-panels", "4"],
+        ]
+        fresh = []
+        for argv in argvs:
+            lbk.cli._parser.cache_clear()
+            fresh.append(run(capsys, argv)[:2])
+        reused = [run(capsys, argv)[:2] for argv in argvs]
+        assert [code for code, _ in fresh] == [2, 0, 0, 2, 0, 0]
+        assert reused == fresh
+
     def test_module_entry_point(self):
         import subprocess
         import sys

@@ -172,7 +172,7 @@ class TestLockClosedForm:
         # 2 * 340! j_170(R)/R^170 is 6.4e355 at R = 1 and 1.0e31 at R = 1e4.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
+            with pytest.raises(OverflowError, match=r"n=170, m=170, R=1\.0"):
                 lock_closed_form(170, 170, 1.0, 1)
             got = lock_closed_form(170, 170, 1e4, 1)
         assert got.real == pytest.approx(_lock_mp(170, 170, 1e4), rel=1e-13,

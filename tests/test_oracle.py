@@ -132,7 +132,7 @@ class TestIntegrateI:
         assert e16.converged and e32.converged
         assert e32.est_error <= 2.0 * e16.est_error + 1e-15
 
-    @pytest.mark.parametrize("R", [2000.0, 4000.0])
+    @pytest.mark.parametrize("R", [2000.0, 4000.0, 1e4, 2e4])
     @pytest.mark.parametrize("alpha", [0.3, 1.55, 2.9])
     def test_large_radius_default_seed(self, R, alpha):
         # the default seed resolves R in the thousands with one doubling

@@ -9,6 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lbk import specfun
+from lbk.oracle import _HAS_EXTENDED
 from lbk.specfun import (
     assoc_legendre,
     bessel_j,
@@ -19,6 +21,13 @@ from lbk.specfun import (
 )
 
 J0_FIRST_ZERO = 2.404825557695773  # mpmath besseljzero(0, 1)
+
+
+def _to_mp(v):
+    # Exact: frexp's mantissa times 2^113 is an integer for every binary
+    # float format numpy has, so no decimal repr rounds the value.
+    mant, e = np.frexp(v)
+    return mpmath.ldexp(mpmath.mpf(int(np.ldexp(mant, 113))), int(e) - 113)
 
 
 def _ratio_mp(n, p, x):
@@ -172,6 +181,47 @@ class TestBesselJ:
             b = x / (2.0 * m) * bessel_j(m + 1, x)
             scale = 1.0 + np.maximum.reduce([abs(lhs), abs(a), abs(b)])
             assert np.max(np.abs(lhs - (a + b)) / scale) < 1e-10
+
+    @pytest.mark.parametrize("dtype, bound", [
+        (np.float64, 5e-14),
+        pytest.param(np.longdouble, 1e-17, marks=pytest.mark.skipif(
+            not _HAS_EXTENDED,
+            reason="longdouble is plain double on this platform")),
+    ])
+    def test_large_argument_against_mpmath(self, dtype, bound):
+        # |error| <= bound * sqrt(2/(pi x)), the envelope of J_m, from x = 25
+        # to 1e4, with both sides of x = 25 and of x = |m|.
+        grid = np.geomspace(25.0, 1e4, 40)
+        for m in (0, 1, 2, 5, 40, 100, 170):
+            x = np.concatenate([grid, [24.999999, 25.0, max(m, 1),
+                                       np.nextafter(max(m, 1), np.inf)]])
+            x = x.astype(dtype)
+            got = bessel_j(m, x)
+            assert got.dtype == x.dtype
+            with mpmath.workdps(40):
+                for g, v in zip(got, x):
+                    v = _to_mp(v)
+                    err = abs(_to_mp(g) - mpmath.besselj(m, v))
+                    assert err <= bound * mpmath.sqrt(2 / (mpmath.pi * v)), (m, v)
+
+    def test_large_arguments_skip_miller(self, monkeypatch):
+        # Every point with |x| >= max(25, |m|) takes the Hankel regime; the
+        # Miller loop sees only the points between it and the series.
+        calls = []
+
+        def guarded(order, x, shift):
+            assert float(np.max(x)) < max(25.0, order), (order, np.max(x))
+            calls.append(order)
+            return miller(order, x, shift)
+
+        miller = specfun._backward
+        monkeypatch.setattr(specfun, "_backward", guarded)
+        x = np.concatenate([np.linspace(-30.0, 30.0, 601),
+                            np.geomspace(25.0, 1e4, 50)])
+        for m in (0, 1, -3, 5, 24, 25, 40, 170):
+            bessel_j(m, x)
+            bessel_j(m, float(max(25, abs(m))))
+        assert calls
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
