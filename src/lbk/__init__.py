@@ -3,7 +3,7 @@
 The library evaluates the angular integral of sin(theta) exp(i R cos(alpha)
 cos(theta)) P_n^m(cos(theta)) J_m(R sin(alpha) sin(theta)) in closed form,
 2 i^{n-m} P_n^m(cos(alpha)) j_n(R), and ships the machinery to verify it
-independently: from-scratch special functions, a panel Gauss-Legendre
+independently: from-scratch special functions, a panel Gauss-Kronrod
 quadrature oracle, recurrence residual checks and seeded random sweeps.
 """
 

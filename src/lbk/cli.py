@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import statistics
 import sys
 import time
 from dataclasses import fields
@@ -159,27 +160,34 @@ def cmd_verify(args):
     return 0 if not report.failures else 1
 
 
+def _median_seconds(fns, arg, reps):
+    # Median wall time of each fn(arg) over reps rounds; each round times
+    # every fn once, so a slow spell of the host falls on all of them.
+    times = [[] for _ in fns]
+    for _ in range(reps):
+        for fn, spent in zip(fns, times):
+            t0 = time.perf_counter()
+            fn(arg)
+            spent.append(time.perf_counter() - t0)
+    return [statistics.median(spent) for spent in times]
+
+
 def bench_rows(n_max, R_max, reps):
     """Deterministic closed-vs-quadrature timing grid.
 
     One row per (n, R) with n in 0..n_max and R over the fixed value list
-    clipped to R_max; m = n//2 and alpha = 1.0 throughout.  Times are mean
-    microseconds over ``reps`` repetitions; rows with reps < 5 are flagged
-    noisy.
+    clipped to R_max; m = n//2 and alpha = 1.0 throughout.  Times are the
+    median microseconds of ``reps`` timed calls per side, taken in
+    alternation, so one host stall does not sink a row; rows with
+    reps < 5 are flagged noisy.
     """
     Rs = [r for r in _BENCH_R_VALUES if r <= R_max] or [R_max]
     rows = []
     for n in range(n_max + 1):
         for R in Rs:
             p = IntegralParams(n, n // 2, 1.0, R)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                closed_form_I(p)
-            t_closed = (time.perf_counter() - t0) / reps
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                integrate_I(p)
-            t_quad = (time.perf_counter() - t0) / reps
+            t_closed, t_quad = _median_seconds((closed_form_I, integrate_I),
+                                               p, reps)
             rows.append({"n": n, "R": R, "closed_us": 1e6 * t_closed,
                          "quad_us": 1e6 * t_quad,
                          "speedup": t_quad / t_closed, "reps": reps,

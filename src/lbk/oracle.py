@@ -4,28 +4,38 @@ Every integral here carries the measure sin(theta) d(theta) on [0, pi], so
 the engine works in u = cos(theta): the Jacobian absorbs the sin(theta)
 factor and the domain becomes [-1, 1].  In u the integrands are entire
 (the half-integer powers of 1 - u^2 contributed by P_n^m and J_m pair up),
-so composite Gauss-Legendre panels converge spectrally, and the rule is
-exact for polynomials in cos(theta) up to degree 2*nodes_per_panel - 1 on
-any panel layout.  The panel edges are uniform in theta, u_k = -cos(k pi/P):
-in theta every factor's phase advances at a rate of at most R, so each
-panel carries a bounded phase, and the panels near u = +-1, where
+so composite Gauss-Kronrod panels converge spectrally.  Each panel carries
+the N-point Gauss-Legendre rule (N = nodes_per_panel), exact for
+polynomials in cos(theta) up to degree 2N - 1, inside its (2N+1)-point
+Kronrod extension, exact up to degree 3N + 1, on any panel layout.  The
+panel edges are uniform in theta, u_k = -cos(k pi/P): in theta every
+factor's phase advances at a rate of at most R, so each panel carries a
+bounded phase, and the panels near u = +-1, where
 J_m(R sin(alpha) sin(theta)) oscillates fastest in u, are the narrowest.
 
-The error estimate is |result(k panels) - result(2k panels)|, iterated by
-doubling; non-convergence is reported through ``QuadResult.converged``,
-never raised.  No pass evaluates more than ``MAX_NODES`` nodes: a seed
-whose first doubling would pass that cap is rejected with ValueError, and
-doubling stops short of it as non-convergence.  Panel sums use a fixed
-summation order (one dot product over the concatenated panel nodes), so
-results do not depend on scheduling.
+One pass evaluates the integrand once on all (2N+1) P nodes of a P-panel
+layout and returns the Kronrod sum K, with |K - G| against the embedded
+Gauss sum G as its error estimate (Piessens et al., QUADPACK, 1983).  The
+layout doubles only while that estimate misses the tolerance;
+non-convergence is reported through ``QuadResult.converged``, never
+raised.  No pass evaluates more than ``MAX_NODES`` nodes: a seed pass past
+that cap is rejected with ValueError, and doubling stops short of it as
+non-convergence.  Panel sums use a fixed summation order (within each
+panel, then across panels), so results do not depend on scheduling.
+
+The rule is built at run time, in O(N) memory, from the Jacobi-Kronrod
+recurrence coefficients of Laurie (Math. Comp. 66, 1997): Newton's method
+on the three-term recurrence finds the Gauss nodes, then, deflated by
+them, the N + 1 Kronrod nodes that interlace with them (Szego); the
+weights are the Christoffel numbers of the recurrence.
 
 Oscillatory cancellation: at large degree and order the integrand envelope
 can exceed the integral value by ten orders of magnitude, so the rounding
 floor eps * integral(|f|) of plain double precision sits above sensible
-tolerances.  The first panel evaluation measures that L1 mass; when the
-floor crowds the convergence target, the refinement reruns the integral in
-extended precision (np.longdouble, with Newton-refined nodes) where the
-platform provides it.
+tolerances.  The first pass measures that L1 mass; when the floor crowds
+the convergence target, the refinement reruns the integral in extended
+precision (np.longdouble, with the rule's nodes Newton-refined in it)
+where the platform provides it.
 """
 
 import math
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _check_lock_args, _check_moment_args
-from .specfun import _legendre_upward, assoc_legendre, bessel_j
+from .specfun import assoc_legendre, bessel_j
 
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LONG = float(np.finfo(np.longdouble).eps)
@@ -44,17 +54,23 @@ _HAS_EXTENDED = _EPS_LONG < _EPS64
 # eps * integral(|f|) exceeds this fraction of the convergence target.
 _NOISE_GUARD = 4.0
 
-# Most nodes one panel pass may evaluate: 16 MB per float64 node array.
-# The default seed at R = 1e4 and n = 170 needs 31 k nodes, 62 k after its
-# first doubling.
+# Most nodes one pass may evaluate, (2N+1) P for P panels: 16 MB per
+# float64 node array.  The default seed at R = 1e4 and n = 170 is 966
+# panels, 63 k nodes.
 MAX_NODES = 1 << 21
 
-# Highest Gauss order per panel.  leggauss(order) builds an order x order
-# companion matrix that MAX_NODES does not count: about 19 MB of peak RSS at
-# order 1024 and 275 MB at 4000.
+# Highest Gauss order N per panel.  Building the rule takes O(N^2) time in
+# O(N) memory: at N = 1024, 0.5 s and +0.5 MB of peak RSS in float64, plus
+# 1.3 s for the longdouble refinement (leggauss(1024) alone took 1.1 s and
+# +17 MB).
 MAX_NODES_PER_PANEL = 1024
 
-_gl_cache = {}
+# Newton from the starting estimates in _gk_rule reaches a step of at most
+# 8 eps within 5 steps in double (2 from double to longdouble) for every
+# N <= MAX_NODES_PER_PANEL; the cap only bounds the loop.
+_NEWTON_STEPS = 20
+
+_gk_cache = {}
 
 
 @dataclass(frozen=True)
@@ -63,9 +79,14 @@ class QuadratureSpec:
 
     ``base_panels = None`` selects the oscillation-aware seeding rule
     max(8, ceil(R/(4 pi)) + n) of the operation being integrated, on
-    panels uniform in theta.  The field defaults below are the only place
-    the oracle defaults are stated: the CLI passes just the flags a user
-    sets and leaves the rest to them.
+    panels uniform in theta.  Each panel carries the ``nodes_per_panel``
+    point Gauss rule inside its Kronrod extension, so one pass over P
+    panels evaluates (2 nodes_per_panel + 1) P nodes.  A pass converges
+    when |Kronrod - Gauss| <= max(abs_tol, rel_tol |Kronrod|);
+    ``max_refinements`` bounds the doublings of the panel count after the
+    seed pass.  The field defaults below are the only place the oracle
+    defaults are stated: the CLI passes just the flags a user sets and
+    leaves the rest to them.
     """
 
     base_panels: int | None = None
@@ -90,87 +111,194 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """Outcome of one oracle call.
+
+    ``value`` is the Kronrod sum of the last pass and ``est_error`` its
+    |Kronrod - Gauss|; ``panels_used`` is that pass's panel count (the
+    seed count when the first pass is accepted).
+    """
+
     value: complex
     est_error: float
     panels_used: int
     converged: bool
 
 
-def _legendre_pair(order, x):
-    # P_order(x) and P'_order(x) from specfun's degree recurrence, any float
-    # dtype.
-    p = _legendre_upward(order, 0, x)
-    dp = order * (x * p - _legendre_upward(order - 1, 0, x)) / (x * x - 1.0)
-    return p, dp
+def _swap_rescaled(s, t):
+    # Laurie's update is linear and homogeneous in (s, t), so a common
+    # scale leaves the coefficients it yields unchanged; unscaled, double
+    # precision overflows to nan near N = 1024.
+    scale = max(np.abs(s).max(), np.abs(t).max())
+    return t / scale, s / scale
 
 
-def _gl_rule(order, dtype):
-    key = (order, np.dtype(dtype))
+def _kronrod_jacobi(n, dtype):
+    # Laurie's algorithm, indexed as Gautschi's r_kronrod: the diagonal a
+    # and squared off-diagonal b of the (2n+1)-point Jacobi-Kronrod matrix
+    # of the Legendre weight.  Its leading entries are Legendre's (a = 0,
+    # b_k = k^2/(4k^2 - 1), b_0 = 2 the weight's mass).
+    a = np.zeros(2 * n + 1, dtype=dtype)
+    b = np.zeros(2 * n + 1, dtype=dtype)
+    k = np.arange(1, (3 * n + 1) // 2 + 1, dtype=dtype)
+    b[0] = 2.0
+    b[1:k.size + 1] = k * k / (4.0 * k * k - 1.0)
+    s = np.zeros(n // 2 + 2, dtype=dtype)
+    t = np.zeros(n // 2 + 2, dtype=dtype)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        i = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[i]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[i] * s[k + 1])
+        s, t = _swap_rescaled(s, t)
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        i = m - k
+        j = n - 1 - i
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[i]) * t[j + 1]
+                             - b[k + n + 1] * s[j + 1] + b[i] * s[j + 2])
+        j = j[-1]
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = _swap_rescaled(s, t)
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+def _recurrence(x, a, rb, degree):
+    # q_degree(x) and its derivative from the three-term recurrence of the
+    # Jacobi matrix with diagonal a and off-diagonal rb, and the Christoffel
+    # sum of q_k(x)^2 over k < degree.  The q_k are orthonormal while rb
+    # holds the off-diagonal; q_degree is scaled by 1/rb[degree].
+    q_prev = np.zeros_like(x)
+    q = np.full_like(x, 1.0 / rb[0])
+    dq_prev = np.zeros_like(x)
+    dq = np.zeros_like(x)
+    christoffel = np.zeros_like(x)
+    for k in range(degree):
+        christoffel += q * q
+        q_prev, q = q, ((x - a[k]) * q - rb[k] * q_prev) / rb[k + 1]
+        dq_prev, dq = dq, ((x - a[k]) * dq + q_prev - rb[k] * dq_prev) / rb[k + 1]
+    return q, dq, christoffel
+
+
+def _newton(step, x):
+    eps = np.finfo(x.dtype).eps
+    for _ in range(_NEWTON_STEPS):
+        dx = step(x)
+        x = x - dx
+        if np.max(np.abs(dx)) <= 8.0 * eps:
+            break
+    return x
+
+
+def _gk_rule(n, dtype):
+    """The (2n + 1)-point Gauss-Kronrod rule on [-1, 1] in ``dtype``.
+
+    Returns the ascending nodes and a (2, 2n + 1) weight array: the
+    Kronrod weights, then the weights of the embedded n-point Gauss rule,
+    whose nodes are the odd-indexed ones (zero weight elsewhere).
+    """
+    key = (n, np.dtype(dtype))
     try:
-        return _gl_cache[key]
+        return _gk_cache[key]
     except KeyError:
         pass
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    if np.dtype(dtype) != np.dtype(np.float64):
-        # Newton-refine the double-precision roots so node error does not
+    a, b = _kronrod_jacobi(n, dtype)
+    # The top degree 2n + 1 only needs its zeros, so its scale is free.
+    rb = np.append(np.sqrt(b), 1.0)
+
+    def gauss_step(x):
+        q, dq, _ = _recurrence(x, a, rb, n)
+        return q / dq
+
+    def kronrod_step(x):
+        # Newton on q_(2n+1) / q_n, whose zeros are the Kronrod-only nodes.
+        qk, dqk, _ = _recurrence(x, a, rb, 2 * n + 1)
+        qg, dqg, _ = _recurrence(x, a, rb, n)
+        return qk * qg / (dqk * qg - qk * dqg)
+
+    if np.dtype(dtype) == np.dtype(np.float64):
+        # Tricomi's estimate of the Gauss nodes; each Kronrod-only node
+        # starts midway in theta between its two Gauss neighbours.
+        gauss = _newton(gauss_step, np.cos(
+            (np.arange(n, 0, -1) - 0.25) * (np.pi / (n + 0.5))))
+        theta = np.concatenate(([np.pi], np.arccos(gauss), [0.0]))
+        extra = np.cos(0.5 * (theta[:-1] + theta[1:]))
+    else:
+        # Newton-refine the double-precision nodes so node error does not
         # cap the extended-precision accuracy.
-        x = nodes.astype(dtype)
-        for _ in range(3):
-            p, dp = _legendre_pair(order, x)
-            x = x - p / dp
-        p, dp = _legendre_pair(order, x)
-        nodes = x
-        weights = 2.0 / ((1.0 - x * x) * dp * dp)
-    _gl_cache[key] = (nodes, weights)
+        start = _gk_rule(n, np.float64)[0].astype(dtype)
+        gauss = _newton(gauss_step, start[1::2])
+        extra = start[0::2]
+    nodes = np.empty(2 * n + 1, dtype=dtype)
+    nodes[1::2] = gauss
+    nodes[0::2] = _newton(kronrod_step, extra)
+    weights = np.zeros((2, 2 * n + 1), dtype=dtype)
+    weights[0] = 1.0 / _recurrence(nodes, a, rb, 2 * n + 1)[2]
+    weights[1, 1::2] = 1.0 / _recurrence(gauss, a, rb, n)[2]
+    _gk_cache[key] = (nodes, weights)
     return nodes, weights
 
 
-def _panel_eval(f, panels, order, dtype):
-    nodes, weights = _gl_rule(order, dtype)
-    edges = -np.cos(np.arange(panels + 1, dtype=dtype) * (np.pi / panels))
+def _panel_eval(f, panels, nodes, weights):
+    # f on the rule's nodes mapped onto each theta-uniform panel.  Returns
+    # the sums under each row of weights and the sum of |f| under the first.
+    edges = -np.cos(np.arange(panels + 1, dtype=nodes.dtype) * (np.pi / panels))
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
     su = np.sqrt(np.maximum((1.0 - u) * (1.0 + u), 0.0))
-    vals = f(u, su)
-    return complex(np.dot(w.astype(vals.dtype), vals)), float(np.dot(w, np.abs(vals)))
+    vals = f(u, su).reshape(panels, nodes.size)
+    sums = half @ (vals @ weights.T.astype(vals.dtype))
+    return sums, float(half @ (np.abs(vals) @ weights[0]))
 
 
 def gauss_panels(f, panels, order):
-    """Composite Gauss-Legendre sum of f(u, sqrt(1-u^2)) over u in [-1, 1]."""
-    return _panel_eval(f, panels, order, np.float64)[0]
+    """Composite Gauss-Legendre sum of f(u, sqrt(1-u^2)) over u in [-1, 1].
+
+    The order-point rule is the one embedded in the oracle's Kronrod rule,
+    on ``panels`` panels uniform in theta.
+    """
+    nodes, weights = _gk_rule(order, np.float64)
+    return complex(_panel_eval(f, panels, nodes[1::2], weights[1:, 1::2])[0][0])
+
+
+def _kronrod_pass(f, panels, order, dtype):
+    nodes, weights = _gk_rule(order, dtype)
+    (kronrod, gauss), l1 = _panel_eval(f, panels, nodes, weights)
+    return complex(kronrod), float(abs(kronrod - gauss)), l1
 
 
 def _refine(f, spec, auto_panels):
     panels = spec.base_panels if spec.base_panels is not None else auto_panels
-    # An error estimate needs the seed pass and its first doubling.
-    if 2 * panels * spec.nodes_per_panel > MAX_NODES:
+    width = 2 * spec.nodes_per_panel + 1
+    if panels * width > MAX_NODES:
         raise ValueError(
             f"quadrature needs more than {MAX_NODES} nodes per pass "
             "(R, base_panels or nodes_per_panel too large)")
-    prev, l1 = _panel_eval(f, panels, spec.nodes_per_panel, np.float64)
-    target = max(spec.abs_tol, spec.rel_tol * abs(prev))
     dtype = np.float64
-    if _HAS_EXTENDED and _NOISE_GUARD * _EPS64 * l1 > target:
+    value, est, l1 = _kronrod_pass(f, panels, spec.nodes_per_panel, dtype)
+    if (_HAS_EXTENDED and _NOISE_GUARD * _EPS64 * l1
+            > max(spec.abs_tol, spec.rel_tol * abs(value))):
         dtype = np.longdouble
-        prev, l1 = _panel_eval(f, panels, spec.nodes_per_panel, dtype)
+        value, est, l1 = _kronrod_pass(f, panels, spec.nodes_per_panel, dtype)
     eps = _EPS_LONG if dtype is np.longdouble else _EPS64
-    est = math.inf
-    for _ in range(spec.max_refinements):
-        if 2 * panels * spec.nodes_per_panel > MAX_NODES:
+    for doublings in range(spec.max_refinements + 1):
+        if est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            return QuadResult(value, est, panels, True)
+        # More panels cannot reduce an estimate at the rounding floor of
+        # this precision.
+        if (doublings == spec.max_refinements or est <= 2.0 * eps * l1
+                or 2 * panels * width > MAX_NODES):
             break
         panels *= 2
-        cur, l1 = _panel_eval(f, panels, spec.nodes_per_panel, dtype)
-        est = abs(cur - prev)
-        if est <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return QuadResult(cur, est, panels, True)
-        prev = cur
-        if est <= 2.0 * eps * l1:
-            # Stalled at the rounding floor of this precision: further
-            # panel doubling cannot reduce the estimate.
-            break
-    return QuadResult(prev, est, panels, False)
+        value, est, l1 = _kronrod_pass(f, panels, spec.nodes_per_panel, dtype)
+    return QuadResult(value, est, panels, False)
 
 
 def _auto_panels(x, degree):

@@ -17,8 +17,8 @@ they share one Miller loop, each with its own normalization.  The loop
 rescales by counted powers of two, so j_n(x)/x^p is a mantissa and a
 binary exponent, rounded once, and never passes through a j_n or x^p
 outside the double range.  The P_n^m degree recurrence is the only
-Legendre recurrence in the package; the quadrature oracle builds its
-extended-precision Gauss rule on it.
+Legendre evaluator in the package; the quadrature oracle builds its rules
+from the recurrence coefficients of its Jacobi-Kronrod matrix instead.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).

@@ -125,12 +125,15 @@ class TestQuad:
         assert err.startswith("invalid input:")
 
     def test_doubling_at_node_cap_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(lbk.oracle, "MAX_NODES", 32 * 8)
+        # 8 panels of 2 * 32 + 1 nodes leave R = 400 under-resolved
+        monkeypatch.setattr(lbk.oracle, "MAX_NODES", 65 * 8)
         code, out, err = run(capsys, ["quad", "--n", "2", "--m", "1",
-                                      "--alpha", "1.0", "--R", "200.0",
+                                      "--alpha", "1.0", "--R", "400.0",
                                       "--base-panels", "1"])
         assert code == 3
-        assert json.loads(out)["panels"] == 8
+        rec = json.loads(out)
+        assert rec["panels"] == 8
+        assert not rec["converged"] and math.isfinite(rec["est_error"])
         assert "converge" in err
 
     @pytest.mark.parametrize("flags", [

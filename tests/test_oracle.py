@@ -14,15 +14,43 @@ from lbk.kernel import (
 from lbk.oracle import (
     _HAS_EXTENDED,
     QuadratureSpec,
-    _gl_rule,
+    _gk_rule,
     gauss_panels,
     integrate_dI_dR,
     integrate_I,
     integrate_lock,
     integrate_poisson_exp,
 )
+from lbk.specfun import bessel_j
 
 FOUR_OVER_PI = 1.2732395447351628
+
+RULE_ORDERS = (1, 2, 7, 32, 1024)
+
+QK15_NODES = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0)
+QK15_WEIGHTS = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+QK15_GAUSS_WEIGHTS = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def assert_rule_exact(nodes, weights, n, tol):
+    # Kronrod row exact for u^k through k = 3n + 1, Gauss row through 2n - 1
+    power = np.ones_like(nodes)
+    for k in range(3 * n + 2):
+        want = nodes.dtype.type(2) / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(weights[0], power) - want) <= tol, ("kronrod", n, k)
+        if k < 2 * n:
+            assert abs(np.dot(weights[1], power) - want) <= tol, ("gauss", n, k)
+        power = power * nodes
 
 
 class TestQuadratureSpec:
@@ -35,7 +63,7 @@ class TestQuadratureSpec:
             QuadratureSpec(**kwargs)
 
     def test_node_order_cap(self):
-        # leggauss(order) allocates order^2 outside the node cap.
+        # Building the rule takes time quadratic in the order.
         assert lbk.oracle.MAX_NODES_PER_PANEL == 1024
         QuadratureSpec(nodes_per_panel=1024)
         with pytest.raises(ValueError, match="nodes_per_panel"):
@@ -60,15 +88,59 @@ class TestPanelRule:
                 want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
                 assert got == pytest.approx(want, abs=3e-15), (panels, k)
 
+    @pytest.mark.parametrize("n", RULE_ORDERS)
+    def test_rule_monomial_exactness(self, n):
+        nodes, weights = _gk_rule(n, np.float64)
+        assert_rule_exact(nodes, weights, n, 3e-15)
+
     @pytest.mark.skipif(not _HAS_EXTENDED,
                         reason="longdouble is plain double on this platform")
     def test_extended_rule_monomial_exactness(self):
         # the Newton-refined longdouble rule beats double precision on u^k
-        nodes, weights = _gl_rule(32, np.longdouble)
-        for k in range(64):
-            got = np.dot(weights, nodes ** k)
-            want = np.longdouble(2) / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(got - want) <= 1e-17
+        for n in RULE_ORDERS:
+            nodes, weights = _gk_rule(n, np.longdouble)
+            assert nodes.dtype == weights.dtype == np.longdouble
+            assert_rule_exact(nodes, weights, n, 1e-17)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("n", RULE_ORDERS)
+    def test_rule_structure(self, n, dtype):
+        # ascending nodes inside (-1, 1), positive weights, and the Gauss
+        # rule on the odd-indexed nodes, interlaced with the Kronrod-only ones
+        nodes, weights = _gk_rule(n, dtype)
+        assert nodes.shape == (2 * n + 1,) and weights.shape == (2, 2 * n + 1)
+        assert np.all(np.diff(nodes) > 0) and -1 < nodes[0] and nodes[-1] < 1
+        assert np.all(weights[0] > 0) and np.all(weights[1, 1::2] > 0)
+        assert np.all(weights[1, 0::2] == 0)
+        if n <= 32:
+            x, w = np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(nodes[1::2].astype(float), x,
+                                       rtol=0, atol=2e-16)
+            # leggauss's weights next to u = +-1 are off by up to 6e-14
+            np.testing.assert_allclose(weights[1, 1::2].astype(float), w,
+                                       rtol=1e-13, atol=0)
+
+    def test_kronrod_15_point_rule(self):
+        # QUADPACK's qk15 abscissae and weights (Piessens et al. 1983)
+        nodes, weights = _gk_rule(7, np.float64)
+        assert nodes[:8] == pytest.approx([-x for x in QK15_NODES],
+                                          rel=0, abs=2e-16)
+        assert weights[0, :8] == pytest.approx(QK15_WEIGHTS, rel=1e-14, abs=0)
+        assert weights[1, 1:8:2] == pytest.approx(QK15_GAUSS_WEIGHTS,
+                                                  rel=1e-14, abs=0)
+
+    def test_embedded_gauss_panels(self):
+        # gauss_panels runs the Gauss rule alone: one integrand call on its
+        # order nodes per panel
+        seen = []
+
+        def f(u, su):
+            seen.append(u.size)
+            return u ** 12
+
+        got = gauss_panels(f, 5, 7).real
+        assert seen == [35]
+        assert got == pytest.approx(2.0 / 13.0, rel=1e-14, abs=0)
 
     def test_degrades_far_past_design_degree(self):
         got = gauss_panels(lambda u, su: u ** 150, 1, 32).real
@@ -148,17 +220,40 @@ class TestIntegrateI:
             integrate_I(IntegralParams(5, 2, 1.0, 1e300))
 
     def test_doubling_stops_at_node_cap(self, monkeypatch):
-        # 8 panels of 32 nodes leave R = 200 under-resolved
-        monkeypatch.setattr(lbk.oracle, "MAX_NODES", 32 * 8)
-        q = integrate_I(IntegralParams(2, 1, 1.0, 200.0),
+        # 8 panels of 2 * 32 + 1 nodes leave R = 400 under-resolved
+        monkeypatch.setattr(lbk.oracle, "MAX_NODES", 65 * 8)
+        q = integrate_I(IntegralParams(2, 1, 1.0, 400.0),
                         QuadratureSpec(base_panels=1))
         assert not q.converged
         assert q.panels_used == 8
         assert math.isfinite(q.est_error)
 
     def test_panels_used_doubles_from_base(self):
-        q = integrate_I(IntegralParams(1, 0, 1.0, 1.0), QuadratureSpec(base_panels=3))
-        assert q.panels_used % 3 == 0 and q.panels_used > 3
+        # R = 300 needs k >= 1 doublings of the 3 base panels
+        for R, min_doublings in ((1.0, 0), (300.0, 1)):
+            q = integrate_I(IntegralParams(1, 0, 1.0, R),
+                            QuadratureSpec(base_panels=3))
+            assert q.converged
+            k = round(math.log2(q.panels_used / 3))
+            assert q.panels_used == 3 * 2 ** k and k >= min_doublings, R
+
+    @pytest.mark.parametrize("R", [125.0, 1000.0, 1e4, 2e4])
+    @pytest.mark.parametrize("alpha", [0.3, 1.55, 2.9])
+    def test_default_seed_converges_in_one_pass(self, R, alpha, monkeypatch):
+        # the seed layout is accepted as is, on one bessel_j call over all
+        # (2 * 32 + 1) * seed nodes
+        points = []
+
+        def counting(m, x):
+            points.append(np.size(x))
+            return bessel_j(m, x)
+
+        monkeypatch.setattr(lbk.oracle, "bessel_j", counting)
+        seed = max(8, math.ceil(R / (4 * math.pi)) + 5)
+        q = integrate_I(IntegralParams(5, 2, alpha, R))
+        assert q.converged
+        assert q.panels_used == seed
+        assert points == [65 * seed]
 
     def test_deterministic(self):
         p = IntegralParams(9, 5, 2.0, 31.0)
