@@ -182,16 +182,17 @@ def bench_rows(n_max, R_max, reps):
     reps < 5 are flagged noisy.
     """
     Rs = [r for r in _BENCH_R_VALUES if r <= R_max] or [R_max]
+    # Built first, so an invalid grid raises before any timing.
+    grid = [IntegralParams(n, n // 2, 1.0, R)
+            for n in range(n_max + 1) for R in Rs]
     rows = []
-    for n in range(n_max + 1):
-        for R in Rs:
-            p = IntegralParams(n, n // 2, 1.0, R)
-            t_closed, t_quad = _median_seconds((closed_form_I, integrate_I),
-                                               p, reps)
-            rows.append({"n": n, "R": R, "closed_us": 1e6 * t_closed,
-                         "quad_us": 1e6 * t_quad,
-                         "speedup": t_quad / t_closed, "reps": reps,
-                         "noisy": reps < 5})
+    for p in grid:
+        t_closed, t_quad = _median_seconds((closed_form_I, integrate_I),
+                                           p, reps)
+        rows.append({"n": p.n, "R": p.R, "closed_us": 1e6 * t_closed,
+                     "quad_us": 1e6 * t_quad,
+                     "speedup": t_quad / t_closed, "reps": reps,
+                     "noisy": reps < 5})
     return rows
 
 
@@ -200,7 +201,9 @@ def cmd_bench(args):
         print("invalid input: require n-max >= 0, R-max > 0, reps >= 1",
               file=sys.stderr)
         return 2
-    rows = bench_rows(args.n_max, args.R_max, args.reps)
+    rows = _checked(bench_rows, args.n_max, args.R_max, args.reps)
+    if rows is None:
+        return 2
     _emit(args, {"rows": rows},
           ["n", "R", "closed_us", "quad_us", "speedup", "reps", "noisy"], rows)
     return 0

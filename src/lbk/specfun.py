@@ -1,17 +1,18 @@
 """Associated Legendre polynomials and Bessel functions, from scratch.
 
-All evaluators are plain recurrence/series implementations chosen for
-stability over the working range (degrees and orders up to a few hundred,
-arguments up to ~1e4).  Every function accepts a scalar or an ndarray for
+All evaluators are plain recurrence implementations chosen for stability
+over the working range (degrees and orders up to a few hundred, arguments
+up to ~1e4).  Every function accepts a scalar or an ndarray for
 its real argument and is pure, with a single evaluation path per function:
 negative Legendre orders scale the positive-order recurrence, and j_n(x) is
 the p = 0 case of the scaled j_n(x)/x^p.
 
-J_m(x) has three regimes: the power series at small x; for |x| >=
-max(ASYM_X_MIN, |m|), J_0 and J_1 from Hankel's asymptotic expansion and
-the upward recurrence to |m|, whose cost per point does not grow with x;
-and the Miller loop in between, whose start order is then bounded by about
-max(ASYM_X_MIN, |m|).  J_k and y_k = j_k(x)/x^k are the minimal solutions
+J_m(x) has two regimes: for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
+Hankel's asymptotic expansion and the upward recurrence to |m|, whose cost
+per point does not grow with x; below, the Miller loop, whose start order
+is then bounded by about max(ASYM_X_MIN, |m|).  Where |x| < sqrt(eps
+(|m|+1)) the leading term (x/2)^|m|/|m|! is J_m to rounding and stands in
+for the loop.  J_k and y_k = j_k(x)/x^k are the minimal solutions
 of J_{k-1} = 2k/x J_k - J_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1};
 they share one Miller loop, each with its own normalization.  The loop
 rescales by counted powers of two, so j_n(x)/x^p is a mantissa and a
@@ -27,12 +28,6 @@ the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
 import math
 
 import numpy as np
-
-# Cylindrical Bessel regime split: power series below this argument (and
-# below the monotone-term bound 2*sqrt(|m|+1)), Miller downward recurrence
-# with normalization above it, up to the asymptotic regime.  12.0 keeps
-# worst-case series cancellation near 1e-11 relative.
-SERIES_X_MAX = 12.0
 
 # Cylindrical Bessel regime split: for |x| >= max(ASYM_X_MIN, |m|), J_0 and
 # J_1 come from Hankel's asymptotic expansion and J_m from the upward
@@ -51,11 +46,11 @@ _RESCALE_BITS = 830
 
 
 def _as_array(x, name):
-    # Preserves extended-precision float inputs; everything else becomes
+    # Preserves float64 and extended-precision inputs; all else becomes
     # float64.  The quadrature oracle relies on this to evaluate integrands
     # in np.longdouble on high-cancellation cases.
     arr = np.asarray(x)
-    if arr.dtype.kind != "f":
+    if arr.dtype.kind != "f" or arr.dtype.itemsize < 8:
         arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} requires finite arguments")
@@ -142,11 +137,14 @@ def _legendre_upward(n, m, x, seed=1.0):
 def bessel_j(m, x):
     """Cylindrical Bessel function of the first kind, J_m(x), integer m.
 
-    Three regimes, by |x|: the power series below max(SERIES_X_MAX,
-    2 sqrt(|m|+1)); for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
+    Two regimes, by |x|: for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
     Hankel's asymptotic expansion and the upward recurrence to |m|, O(|m|)
-    per point; Miller downward recurrence with the J_0 + 2 sum J_{2k} = 1
-    normalization in between.  Negative orders use J_{-m}(x) = (-1)^m J_m(x).
+    per point; below, Miller downward recurrence with the
+    J_0 + 2 sum J_{2k} = 1 normalization.  Where |x| < sqrt(eps (|m|+1)),
+    x = 0 included, the leading term (x/2)^|m| / |m|! is J_m to rounding
+    and stands in for the Miller loop, whose steps 2k/x f_k would overflow
+    near x = 0.  Values below the normal range of x's dtype come out
+    subnormal or 0.  Negative orders use J_{-m}(x) = (-1)^m J_m(x).
     """
     arr, scalar = _as_array(x, "bessel_j")
     mm = abs(int(m))
@@ -155,13 +153,13 @@ def bessel_j(m, x):
     ax = np.abs(arr)
 
     out = np.empty_like(ax)
-    series = ax < max(SERIES_X_MAX, 2.0 * math.sqrt(mm + 1.0))
-    if series.any():
-        out[series] = _bessel_series(mm, ax[series])
+    tiny = ax < math.sqrt(float(np.finfo(ax.dtype).eps) * (mm + 1.0))
+    if tiny.any():
+        out[tiny] = _bessel_leading(mm, ax[tiny])
     asym = ax >= max(ASYM_X_MIN, mm)
     if asym.any():
         out[asym] = _bessel_hankel(mm, ax[asym])
-    rest = ~(series | asym)
+    rest = ~(tiny | asym)
     if rest.any():
         # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
         val, j0, _, even_sum, drop = _backward(mm, ax[rest], 0)
@@ -170,22 +168,18 @@ def bessel_j(m, x):
     return _maybe_scalar(signs * out, scalar)
 
 
-def _bessel_series(m, x):
-    # sum_k (-1)^k (x/2)^{m+2k} / (k! (m+k)!); the argument is below the
-    # regime threshold, so cancellation stays within a few digits.
-    half = 0.5 * x
-    term = np.ones_like(x)
-    for i in range(1, m + 1):
-        term = term * (half / i)
-    total = term.copy()
-    q = half * half
-    tol = 0.01 * float(np.finfo(x.dtype).eps)
-    for k in range(1, 1000):
-        term = term * (-q / (k * (m + k)))
-        total = total + term
-        if np.all(np.abs(term) <= tol * np.abs(total) + 1e-300):
-            break
-    return total
+def _bessel_leading(m, x):
+    # (x/2)^m / m!, whose neglected relative term is x^2/(4(m+1)).
+    # 1/(2^m m!) leaves the double range at m = 171, so it is q * 2^-shift,
+    # q from exact integers: 71 bits in two parts the dtype holds exactly.
+    # frexp splits x^m into mant^m and 2^(m e), and ldexp rounds the product
+    # into the dtype's range once.
+    f = math.factorial(m) << m
+    shift = f.bit_length() + 70
+    hi, lo = divmod((1 << shift) // f, 1 << 35)
+    q = x.dtype.type(hi) * 2.0 ** 35 + x.dtype.type(lo)
+    mant, e = np.frexp(x)
+    return np.ldexp(mant ** m * q, m * e - shift)
 
 
 def _bessel_hankel(m, x):

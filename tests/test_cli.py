@@ -255,9 +255,11 @@ class TestBench:
         assert len(json.loads(out)["rows"]) == 1
 
     def test_invalid_exit_2(self, capsys):
-        code, _, err = run(capsys, ["bench", "--reps", "0"])
-        assert code == 2
-        assert err.strip()
+        # --n-max 171 passes the degree cap; it exits before any timing.
+        for argv in (["--reps", "0"], ["--n-max", "171"]):
+            code, _, err = run(capsys, ["bench"] + argv)
+            assert code == 2
+            assert err.startswith("invalid input: ")
 
 
 class TestTable:

@@ -19,8 +19,12 @@ from lbk.specfun import (
     spherical_bessel_j_prime,
     spherical_bessel_ratio,
 )
+from lbk.verify import _residual
 
 J0_FIRST_ZERO = 2.404825557695773  # mpmath besseljzero(0, 1)
+
+_EXTENDED_ONLY = pytest.mark.skipif(
+    not _HAS_EXTENDED, reason="longdouble is plain double on this platform")
 
 
 def _to_mp(v):
@@ -184,15 +188,17 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("dtype, bound", [
         (np.float64, 5e-14),
-        pytest.param(np.longdouble, 1e-17, marks=pytest.mark.skipif(
-            not _HAS_EXTENDED,
-            reason="longdouble is plain double on this platform")),
+        pytest.param(np.longdouble, 1e-17, marks=_EXTENDED_ONLY),
     ])
     def test_large_argument_against_mpmath(self, dtype, bound):
-        # |error| <= bound * sqrt(2/(pi x)), the envelope of J_m, from x = 25
-        # to 1e4, with both sides of x = 25 and of x = |m|.
-        grid = np.geomspace(25.0, 1e4, 40)
-        for m in (0, 1, 2, 5, 40, 100, 170):
+        # |error| <= bound * min(1, sqrt(2/(pi x))), the envelope of J_m,
+        # from x = 1e-3 to 1e4, with both sides of x = 25 and of x = |m|,
+        # the old series threshold [11.9, 12.1] and its weakest point,
+        # J_3(11.99).
+        grid = np.concatenate([np.geomspace(1e-3, 25.0, 50),
+                               np.linspace(11.9, 12.1, 9), [11.99],
+                               np.geomspace(25.0, 1e4, 40)])
+        for m in (0, 1, 2, 3, 5, 40, 100, 170):
             x = np.concatenate([grid, [24.999999, 25.0, max(m, 1),
                                        np.nextafter(max(m, 1), np.inf)]])
             x = x.astype(dtype)
@@ -202,11 +208,53 @@ class TestBesselJ:
                 for g, v in zip(got, x):
                     v = _to_mp(v)
                     err = abs(_to_mp(g) - mpmath.besselj(m, v))
-                    assert err <= bound * mpmath.sqrt(2 / (mpmath.pi * v)), (m, v)
+                    envelope = min(1, mpmath.sqrt(2 / (mpmath.pi * v)))
+                    assert err <= bound * envelope, (m, v)
+
+    @pytest.mark.parametrize("dtype", [
+        np.float64, pytest.param(np.longdouble, marks=_EXTENDED_ONLY)])
+    def test_tiny_and_zero_arguments(self, dtype):
+        # Below sqrt(eps (|m|+1)) the leading term (x/2)^|m|/|m|! stands in
+        # for the Miller loop, whose steps 2k/x f_k would overflow; 171! is
+        # past the double range.  Values below the dtype's normal range
+        # come out 0 or subnormal, within one subnormal step.
+        x = np.array([0.0, 5e-324, 1e-300, 1e-60, 1e-12, 1e-8])
+        x = np.concatenate([x, -x]).astype(dtype)
+        info = np.finfo(dtype)
+        tiny, step = _to_mp(info.tiny), _to_mp(info.smallest_subnormal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_j(0, dtype(0.0)) == 1.0
+            for m in (0, 1, -3, 40, 170, 171):
+                got = bessel_j(m, x)
+                assert got.dtype == x.dtype
+                assert np.all(np.isfinite(got))
+                with mpmath.workdps(40):
+                    for g, v in zip(got, x):
+                        want = mpmath.besselj(m, _to_mp(v))
+                        err = abs(_to_mp(g) - want)
+                        if abs(want) < tiny:
+                            assert err <= step, (m, v)
+                        else:
+                            assert err <= 1e-15 * abs(want), (m, v)
+
+    @given(st.integers(-171, 171),
+           st.floats(-1e4, 1e4) | st.floats(-30.0, 30.0)
+           | st.floats(-1e-6, 1e-6))
+    @settings(max_examples=300, deadline=None)
+    def test_three_term_property(self, m, x):
+        # Over the documented domain, across the leading-term, Miller and
+        # Hankel boundaries: finite, |J_m| <= 1, and
+        # 2m J_m = x (J_{m-1} + J_{m+1}) to 1e-12 of the largest term.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below, j, above = (bessel_j(k, x) for k in (m - 1, m, m + 1))
+        assert math.isfinite(j) and abs(j) <= 1.0
+        assert _residual(2.0 * m * j, (x * below, x * above)) <= 1e-12
 
     def test_large_arguments_skip_miller(self, monkeypatch):
         # Every point with |x| >= max(25, |m|) takes the Hankel regime; the
-        # Miller loop sees only the points between it and the series.
+        # Miller loop sees only the points below it.
         calls = []
 
         def guarded(order, x, shift):
@@ -222,6 +270,17 @@ class TestBesselJ:
             bessel_j(m, x)
             bessel_j(m, float(max(25, abs(m))))
         assert calls
+
+    def test_single_precision_input_runs_in_double(self):
+        # The Miller loop's rescale limit (1e250) is past the float32 range,
+        # so narrower floats are evaluated as float64, like integers.
+        x = np.array([0, 1e-3, 0.5, 3.0, 11.0, 30.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (0, 5, 40):
+                got = bessel_j(m, x)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, bessel_j(m, x.astype(float)))
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
