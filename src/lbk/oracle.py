@@ -13,15 +13,22 @@ factor's phase advances at a rate of at most R, so each panel carries a
 bounded phase, and the panels near u = +-1, where
 J_m(R sin(alpha) sin(theta)) oscillates fastest in u, are the narrowest.
 
-One pass evaluates the integrand once on all (2N+1) P nodes of a P-panel
-layout and returns the Kronrod sum K, with |K - G| against the embedded
-Gauss sum G as its error estimate (Piessens et al., QUADPACK, 1983).  The
-layout doubles only while that estimate misses the tolerance;
-non-convergence is reported through ``QuadResult.converged``, never
-raised.  No pass evaluates more than ``MAX_NODES`` nodes: a seed pass past
-that cap is rejected with ValueError, and doubling stops short of it as
-non-convergence.  Panel sums use a fixed summation order (within each
-panel, then across panels), so results do not depend on scheduling.
+The layout is exact under u -> -u, and every integrand here has a parity
+there: P_n^m(-u) = (-1)^(n+m) P_n^m(u), the Bessel argument
+R sin(alpha) sqrt(1 - u^2) is even, and exp(i R cos(alpha) u) pairs with
+its mirror image into a cosine or a sine.  So one pass evaluates the
+integrand once on the u >= 0 half of the (2N+1) P nodes of a P-panel
+layout: at each node it returns f(u) + f(-u) and |f(u)| + |f(-u)| (a node
+at u = 0 counts half), in real arithmetic, with the unit phase 1 or i
+applied to the sums.  The pass returns the Kronrod sum K, with |K - G|
+against the embedded Gauss sum G as its error estimate (Piessens et al.,
+QUADPACK, 1983).  The layout doubles only while that estimate misses the
+tolerance; non-convergence is reported through ``QuadResult.converged``,
+never raised.  No layout holds more than ``MAX_NODES`` nodes, both halves
+counted: a seed pass past that cap is rejected with ValueError, and
+doubling stops short of it as non-convergence.  Panel sums use a fixed
+summation order (within each panel, then across panels), so results do
+not depend on scheduling.
 
 The rule is built at run time, in O(N) memory, from the Jacobi-Kronrod
 recurrence coefficients of Laurie (Math. Comp. 66, 1997): Newton's method
@@ -54,8 +61,9 @@ _HAS_EXTENDED = _EPS_LONG < _EPS64
 # eps * integral(|f|) exceeds this fraction of the convergence target.
 _NOISE_GUARD = 4.0
 
-# Most nodes one pass may evaluate, (2N+1) P for P panels: 16 MB per
-# float64 node array.  The default seed at R = 1e4 and n = 170 is 966
+# Most nodes one pass's layout may hold, (2N+1) P for P panels, counted in
+# full although a pass evaluates only the u >= 0 half: 8 MB per float64
+# array over that half.  The default seed at R = 1e4 and n = 170 is 966
 # panels, 63 k nodes.
 MAX_NODES = 1 << 21
 
@@ -245,48 +253,75 @@ def _gk_rule(n, dtype):
     return nodes, weights
 
 
-def _panel_eval(f, panels, nodes, weights):
-    # f on the rule's nodes mapped onto each theta-uniform panel.  Returns
-    # the sums under each row of weights and the sum of |f| under the first.
-    edges = -np.cos(np.arange(panels + 1, dtype=nodes.dtype) * (np.pi / panels))
+def _fold_sums(pair, panels, nodes, weights):
+    # The rule's nodes mapped onto the u >= 0 half of the theta-uniform
+    # layout: for odd P the central panel [-e, e], on its nodes t >= 0, then
+    # the P // 2 panels above it.  The edges sin(i pi/(2P)), i = P, P - 2,
+    # ..., are the -cos(k pi/P) of the full layout mirrored onto u >= 0, so
+    # the layout is exact under u -> -u.  pair(u, su) returns f(u) + f(-u)
+    # and |f(u)| + |f(-u)| there.  Returns the sums of the first under each
+    # row of weights and the sum of the second under the first row.
+    i = np.arange(panels % 2, panels + 1, 2, dtype=nodes.dtype)
+    edges = np.sin(i * (np.pi / (2 * panels)))
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    first = nodes.size // 2 if panels % 2 else nodes.size
+    centre = weights[:, first:].copy()
+    if nodes.size % 2:
+        # t = 0 is its own mirror image
+        centre[:, :1] *= 0.5
+    u = np.concatenate((edges[0] * nodes[first:],
+                        (mid[:, None] + half[:, None] * nodes[None, :]).ravel()))
     su = np.sqrt(np.maximum((1.0 - u) * (1.0 + u), 0.0))
-    vals = f(u, su).reshape(panels, nodes.size)
-    sums = half @ (vals @ weights.T.astype(vals.dtype))
-    return sums, float(half @ (np.abs(vals) @ weights[0]))
+    vals, mass = pair(u, su)
+    k = centre.shape[1]
+    grid = (-1, nodes.size)
+    sums = (edges[0] * (vals[:k] @ centre.T)
+            + half @ (vals[k:].reshape(grid) @ weights.T))
+    l1 = (edges[0] * (mass[:k] @ centre[0])
+          + half @ (mass[k:].reshape(grid) @ weights[0]))
+    return sums, float(l1)
 
 
 def gauss_panels(f, panels, order):
     """Composite Gauss-Legendre sum of f(u, sqrt(1-u^2)) over u in [-1, 1].
 
     The order-point rule is the one embedded in the oracle's Kronrod rule,
-    on ``panels`` panels uniform in theta.
+    on ``panels`` panels uniform in theta.  f is called once, on the
+    u >= 0 half of the layout and its mirror image, a node at u = 0 once.
     """
     nodes, weights = _gk_rule(order, np.float64)
-    return complex(_panel_eval(f, panels, nodes[1::2], weights[1:, 1::2])[0][0])
+
+    def pair(u, su):
+        zero = int(u[0] == 0.0)
+        vals = f(np.concatenate((u, -u[zero:])), np.concatenate((su, su[zero:])))
+        plus = vals[:u.size]
+        minus = np.concatenate((vals[:zero], vals[u.size:]))
+        return plus + minus, np.abs(plus) + np.abs(minus)
+
+    return complex(_fold_sums(pair, panels, nodes[1::2], weights[1:, 1::2])[0][0])
 
 
-def _kronrod_pass(f, panels, order, dtype):
-    nodes, weights = _gk_rule(order, dtype)
-    (kronrod, gauss), l1 = _panel_eval(f, panels, nodes, weights)
-    return complex(kronrod), float(abs(kronrod - gauss)), l1
-
-
-def _refine(f, spec, auto_panels):
+def _refine(pair, imaginary, spec, auto_panels):
     panels = spec.base_panels if spec.base_panels is not None else auto_panels
     width = 2 * spec.nodes_per_panel + 1
     if panels * width > MAX_NODES:
         raise ValueError(
             f"quadrature needs more than {MAX_NODES} nodes per pass "
             "(R, base_panels or nodes_per_panel too large)")
+
+    def run(panels, dtype):
+        nodes, weights = _gk_rule(spec.nodes_per_panel, dtype)
+        (kronrod, gauss), l1 = _fold_sums(pair, panels, nodes, weights)
+        value = complex(0.0, kronrod) if imaginary else complex(kronrod)
+        return value, float(abs(kronrod - gauss)), l1
+
     dtype = np.float64
-    value, est, l1 = _kronrod_pass(f, panels, spec.nodes_per_panel, dtype)
+    value, est, l1 = run(panels, dtype)
     if (_HAS_EXTENDED and _NOISE_GUARD * _EPS64 * l1
             > max(spec.abs_tol, spec.rel_tol * abs(value))):
         dtype = np.longdouble
-        value, est, l1 = _kronrod_pass(f, panels, spec.nodes_per_panel, dtype)
+        value, est, l1 = run(panels, dtype)
     eps = _EPS_LONG if dtype is np.longdouble else _EPS64
     for doublings in range(spec.max_refinements + 1):
         if est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
@@ -297,7 +332,7 @@ def _refine(f, spec, auto_panels):
                 or 2 * panels * width > MAX_NODES):
             break
         panels *= 2
-        value, est, l1 = _kronrod_pass(f, panels, spec.nodes_per_panel, dtype)
+        value, est, l1 = run(panels, dtype)
     return QuadResult(value, est, panels, False)
 
 
@@ -309,17 +344,28 @@ def _auto_panels(x, degree):
     return max(8, int(math.ceil(x / (4.0 * math.pi))) + degree)
 
 
+def _exp_times_even(amplitude, rate, odd, spec, auto_panels):
+    # The integral of exp(i rate u) a(u, su) for a real amplitude a of
+    # parity (-1)^odd: f(u) + f(-u) is 2 cos(rate u) a for even a and
+    # 2 i sin(rate u) a for odd a, and |f(u)| + |f(-u)| is 2 |a|.
+    trig = np.sin if odd else np.cos
+
+    def pair(u, su):
+        amp = 2.0 * amplitude(u, su)
+        return trig(rate * u) * amp, np.abs(amp)
+
+    return _refine(pair, odd, spec, auto_panels)
+
+
 def integrate_I(p, spec=QuadratureSpec()):
     """Quadrature of the main integral for ``IntegralParams`` p."""
-    rc = p.R * math.cos(p.alpha)
     rs = p.R * math.sin(p.alpha)
 
-    def f(u, su):
-        return (np.exp(1j * rc * u)
-                * assoc_legendre(p.n, p.m, u)
-                * bessel_j(p.m, rs * su))
+    def amplitude(u, su):
+        return assoc_legendre(p.n, p.m, u) * bessel_j(p.m, rs * su)
 
-    return _refine(f, spec, _auto_panels(p.R, p.n))
+    return _exp_times_even(amplitude, p.R * math.cos(p.alpha),
+                           (p.n + p.m) % 2, spec, _auto_panels(p.R, p.n))
 
 
 def integrate_dI_dR(p, spec=QuadratureSpec()):
@@ -327,21 +373,29 @@ def integrate_dI_dR(p, spec=QuadratureSpec()):
 
     d/dR [exp(i R cos(a) u) J_m(R sin(a) su)] expands to the phase term
     i cos(a) u exp(.) J_m(.) plus exp(.) sin(a) su J_m'(.), with
-    J_m' = (J_{m-1} - J_{m+1}) / 2.
+    J_m' = (J_{m-1} - J_{m+1}) / 2.  With A = cos(a) u J_m (odd in u) and
+    B = sin(a) su J_m' (even), f(u) + f(-u) is 2 P (B cos - A sin) for
+    even n + m and 2 i P (A cos + B sin) for odd, the trigonometric
+    functions taken at R cos(a) u.
     """
     ca = math.cos(p.alpha)
     sa = math.sin(p.alpha)
     rc = p.R * ca
     rs = p.R * sa
+    odd = (p.n + p.m) % 2
 
-    def f(u, su):
+    def pair(u, su):
         z = rs * su
-        phase = np.exp(1j * rc * u)
         djm = 0.5 * (bessel_j(p.m - 1, z) - bessel_j(p.m + 1, z))
-        return ((1j * ca * u * bessel_j(p.m, z) + sa * su * djm)
-                * phase * assoc_legendre(p.n, p.m, u))
+        a = ca * u * bessel_j(p.m, z)
+        b = sa * su * djm
+        c = np.cos(rc * u)
+        s = np.sin(rc * u)
+        amp = 2.0 * assoc_legendre(p.n, p.m, u)
+        folded = (a * c + b * s) if odd else (b * c - a * s)
+        return amp * folded, np.abs(amp) * np.hypot(a, b)
 
-    return _refine(f, spec, _auto_panels(p.R, p.n))
+    return _refine(pair, odd, spec, _auto_panels(p.R, p.n))
 
 
 def integrate_lock(n, m, R, sign, spec=QuadratureSpec()):
@@ -349,17 +403,18 @@ def integrate_lock(n, m, R, sign, spec=QuadratureSpec()):
     _check_lock_args(n, m, R, sign)
     am = abs(m)
 
-    def f(u, su):
-        return su ** am * np.exp(sign * 1j * R * u) * assoc_legendre(n, am, u)
+    def amplitude(u, su):
+        return su ** am * assoc_legendre(n, am, u)
 
-    return _refine(f, spec, _auto_panels(R, n))
+    return _exp_times_even(amplitude, sign * R, (n + am) % 2, spec,
+                           _auto_panels(R, n))
 
 
 def integrate_poisson_exp(s, x, spec=QuadratureSpec()):
     """Quadrature of sin(theta) exp(i x cos(theta)) sin^{2s}(theta)."""
     _check_moment_args(s, x)
 
-    def f(u, su):
-        return ((1.0 - u) * (1.0 + u)) ** s * np.exp(1j * x * u)
+    def amplitude(u, su):
+        return ((1.0 - u) * (1.0 + u)) ** s
 
-    return _refine(f, spec, _auto_panels(x, s))
+    return _exp_times_even(amplitude, x, False, spec, _auto_panels(x, s))

@@ -30,7 +30,7 @@ from .kernel import (
     i00_series_partial,
     mult_theorem_partial,
 )
-from .oracle import QuadratureSpec, integrate_dI_dR, integrate_I
+from .oracle import QuadratureSpec, _gk_rule, integrate_dI_dR, integrate_I
 from .specfun import (
     FACTORIAL_N_CAP,
     assoc_legendre,
@@ -166,6 +166,9 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
     nworkers = resolve_workers(workers)
     if nworkers > 1 and cfg.cases > 8:
         chunk = max(1, cfg.cases // (8 * nworkers))
+        # Built once here, the rule reaches every forked worker in its
+        # cache instead of being rebuilt by each.
+        _gk_rule(spec.nodes_per_panel, np.float64)
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             reports = list(pool.map(run, cases, chunksize=chunk))
     else:

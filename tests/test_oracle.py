@@ -21,7 +21,7 @@ from lbk.oracle import (
     integrate_lock,
     integrate_poisson_exp,
 )
-from lbk.specfun import bessel_j
+from lbk.specfun import assoc_legendre, bessel_j
 
 FOUR_OVER_PI = 1.2732395447351628
 
@@ -142,6 +142,23 @@ class TestPanelRule:
         assert seen == [35]
         assert got == pytest.approx(2.0 / 13.0, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("order", [7, 32])
+    @pytest.mark.parametrize("panels", [1, 2, 5, 8])
+    def test_layout_mirror_exact(self, panels, order):
+        # f is called once, on a node set closed under u -> -u bit for bit,
+        # with a node at u = 0 only once
+        seen = []
+
+        def f(u, su):
+            seen.append(u.copy())
+            return np.ones_like(u)
+
+        gauss_panels(f, panels, order)
+        assert len(seen) == 1
+        u = np.sort(seen[0])
+        assert u.size == panels * order
+        np.testing.assert_array_equal(u, -u[::-1])
+
     def test_degrades_far_past_design_degree(self):
         got = gauss_panels(lambda u, su: u ** 150, 1, 32).real
         assert abs(got - 2.0 / 151.0) > 1e-8
@@ -240,8 +257,8 @@ class TestIntegrateI:
     @pytest.mark.parametrize("R", [125.0, 1000.0, 1e4, 2e4])
     @pytest.mark.parametrize("alpha", [0.3, 1.55, 2.9])
     def test_default_seed_converges_in_one_pass(self, R, alpha, monkeypatch):
-        # the seed layout is accepted as is, on one bessel_j call over all
-        # (2 * 32 + 1) * seed nodes
+        # the seed layout is accepted as is, on one bessel_j call over the
+        # u >= 0 half of its (2 * 32 + 1) * seed nodes
         points = []
 
         def counting(m, x):
@@ -253,7 +270,27 @@ class TestIntegrateI:
         q = integrate_I(IntegralParams(5, 2, alpha, R))
         assert q.converged
         assert q.panels_used == seed
-        assert points == [65 * seed]
+        assert points == [(65 * seed + 1) // 2]
+
+    @pytest.mark.parametrize("panels", [15, 16])
+    @pytest.mark.parametrize("n, m", [(7, 3), (6, -3)])
+    def test_fold_matches_unfolded_integrand(self, n, m, panels):
+        # the real-arithmetic fold of integrate_I against gauss_panels of
+        # the raw complex integrand, on odd and even layouts and both
+        # parities of n + m: equal to rounding of the L1 mass
+        alpha, R = 1.1, 20.0
+        rc, rs = R * math.cos(alpha), R * math.sin(alpha)
+
+        def f(u, su):
+            return (np.exp(1j * rc * u) * assoc_legendre(n, m, u)
+                    * bessel_j(m, rs * su))
+
+        q = integrate_I(IntegralParams(n, m, alpha, R),
+                        QuadratureSpec(base_panels=panels))
+        assert q.converged and q.panels_used == panels
+        l1 = gauss_panels(lambda u, su: np.abs(f(u, su)), panels, 32).real
+        err = abs(q.value - gauss_panels(f, panels, 32))
+        assert err <= 8.0 * np.finfo(float).eps * l1
 
     def test_deterministic(self):
         p = IntegralParams(9, 5, 2.0, 31.0)

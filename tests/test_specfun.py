@@ -86,6 +86,23 @@ class TestAssocLegendre:
         right = assoc_legendre(n, m, x)
         assert left == (right if (n + m) % 2 == 0 else -right)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89,
+                                   120, 144, 169, 170])
+    def test_parity_bit_exact_to_degree_cap(self, n):
+        # every order of degrees spread up to the cap, on a grid of [0, 1]
+        # with both ends; the oracle folds its passes onto u >= 0 by this
+        x = np.linspace(0.0, 1.0, 129)
+        for m in range(-n, n + 1):
+            try:
+                right = assoc_legendre(n, m, x)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    assoc_legendre(n, m, -x)
+                continue
+            left = assoc_legendre(n, m, -x)
+            np.testing.assert_array_equal(
+                left, right if (n + m) % 2 == 0 else -right, err_msg=str(m))
+
     @given(st.integers(0, 25), st.data(), st.floats(-1.0, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_negative_order_relation(self, n, data, x):
