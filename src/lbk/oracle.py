@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _check_lock_args, _check_moment_args
-from .specfun import assoc_legendre, bessel_j
+from .specfun import _bessel_band, assoc_legendre, bessel_j
 
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LONG = float(np.finfo(np.longdouble).eps)
@@ -376,19 +376,23 @@ def integrate_dI_dR(p, spec=QuadratureSpec()):
     J_m' = (J_{m-1} - J_{m+1}) / 2.  With A = cos(a) u J_m (odd in u) and
     B = sin(a) su J_m' (even), f(u) + f(-u) is 2 P (B cos - A sin) for
     even n + m and 2 i P (A cos + B sin) for odd, the trigonometric
-    functions taken at R cos(a) u.
+    functions taken at R cos(a) u.  One Bessel loop per pass gives the
+    orders |m|-1..|m|+1 (0..1 at m = 0, with J_{-1} = -J_1), and
+    J_{-k} = (-1)^k J_k carries both J_m and J_m' to m < 0.
     """
-    ca = math.cos(p.alpha)
-    sa = math.sin(p.alpha)
-    rc = p.R * ca
-    rs = p.R * sa
+    am = abs(p.m)
+    sign = -1.0 if p.m < 0 and am % 2 else 1.0
+    ca = sign * math.cos(p.alpha)
+    sa = sign * math.sin(p.alpha)
+    rc = p.R * math.cos(p.alpha)
+    rs = p.R * math.sin(p.alpha)
     odd = (p.n + p.m) % 2
 
     def pair(u, su):
-        z = rs * su
-        djm = 0.5 * (bessel_j(p.m - 1, z) - bessel_j(p.m + 1, z))
-        a = ca * u * bessel_j(p.m, z)
-        b = sa * su * djm
+        band = _bessel_band(max(am - 1, 0), am + 1, rs * su)
+        below = band[0] if am else -band[1]
+        a = ca * u * band[-2]
+        b = sa * su * (0.5 * (below - band[-1]))
         c = np.cos(rc * u)
         s = np.sin(rc * u)
         amp = 2.0 * assoc_legendre(p.n, p.m, u)

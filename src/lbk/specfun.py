@@ -52,7 +52,7 @@ def _as_array(x, name):
     arr = np.asarray(x)
     if arr.dtype.kind != "f" or arr.dtype.itemsize < 8:
         arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} requires finite arguments")
     return arr, arr.ndim == 0
 
@@ -144,28 +144,41 @@ def bessel_j(m, x):
     x = 0 included, the leading term (x/2)^|m| / |m|! is J_m to rounding
     and stands in for the Miller loop, whose steps 2k/x f_k would overflow
     near x = 0.  Values below the normal range of x's dtype come out
-    subnormal or 0.  Negative orders use J_{-m}(x) = (-1)^m J_m(x).
+    subnormal or 0.  Negative orders use J_{-m}(x) = (-1)^m J_m(x).  A
+    non-integral order raises ValueError.
     """
+    if not float(m).is_integer():
+        raise ValueError(f"order must be an integer (got m={m})")
     arr, scalar = _as_array(x, "bessel_j")
     mm = abs(int(m))
     sign = 1.0 if mm % 2 == 0 else -1.0
     signs = np.where(arr < 0.0, sign, 1.0) * (sign if m < 0 else 1.0)
-    ax = np.abs(arr)
+    (out,) = _bessel_band(mm, mm, np.abs(arr))
+    return _maybe_scalar(signs * out, scalar)
 
-    out = np.empty_like(ax)
-    tiny = ax < math.sqrt(float(np.finfo(ax.dtype).eps) * (mm + 1.0))
+
+def _bessel_band(lo, hi, x):
+    # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, the
+    # regime picked by hi.  Below sqrt(eps (lo+1)) the leading term holds
+    # for every order of the band: its neglected term x^2/(4(k+1)) is
+    # below eps/4 for k >= lo.
+    out = [np.empty_like(x) for _ in range(lo, hi + 1)]
+    tiny = x < math.sqrt(float(np.finfo(x.dtype).eps) * (lo + 1.0))
     if tiny.any():
-        out[tiny] = _bessel_leading(mm, ax[tiny])
-    asym = ax >= max(ASYM_X_MIN, mm)
+        for k, row in enumerate(out, lo):
+            row[tiny] = _bessel_leading(k, x[tiny])
+    asym = x >= max(ASYM_X_MIN, hi)
     if asym.any():
-        out[asym] = _bessel_hankel(mm, ax[asym])
+        for row, val in zip(out, _bessel_hankel(lo, hi, x[asym])):
+            row[asym] = val
     rest = ~(tiny | asym)
     if rest.any():
         # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
-        val, j0, _, even_sum, drop = _backward(mm, ax[rest], 0)
-        out[rest] = np.ldexp(val / (2.0 * even_sum + j0),
-                             -_RESCALE_BITS * drop)
-    return _maybe_scalar(signs * out, scalar)
+        vals, j0, _, even_sum, drops = _backward(lo, hi, x[rest], 0)
+        norm = 2.0 * even_sum + j0
+        for row, val, drop in zip(out, vals, drops):
+            row[rest] = np.ldexp(val / norm, -_RESCALE_BITS * drop)
+    return out
 
 
 def _bessel_leading(m, x):
@@ -182,7 +195,8 @@ def _bessel_leading(m, x):
     return np.ldexp(mant ** m * q, m * e - shift)
 
 
-def _bessel_hankel(m, x):
+def _bessel_hankel(lo, hi, x):
+    # [J_lo(x), ..., J_hi(x)] for x >= max(ASYM_X_MIN, hi).
     # J_nu = (P cos chi - Q sin chi) sqrt(2/(pi x)), chi = x - (nu/2 + 1/4) pi,
     # for nu = 0, 1 (DLMF 10.17.3), then J_{k+1} = 2k/x J_k - J_{k-1}, stable
     # for k <= x.  P and Q are Horner polynomials in z = 1/x^2, cut after the
@@ -219,18 +233,23 @@ def _bessel_hankel(m, x):
     h[0] += h[1]
     h[2] -= h[3]
     h[0::2] /= np.sqrt(4.0 * np.arctan(x.dtype.type(1)) * x)  # pi in x's dtype
-    prev, cur = h[0], h[2]
-    if m == 0:
-        return prev
-    del h
-    for k in range(1, m):
-        # 2k/x rounded once: a shared 1/x would put the same relative error
-        # into every step's coefficient, 4-6x the error near x = m.
-        nxt = (2.0 * k) / x
-        nxt *= cur
-        nxt -= prev
-        prev, cur = cur, nxt
-    return cur
+    return _upward(lo, hi, x, h[0], h[2], 0)
+
+
+def _upward(lo, hi, x, f0, f1, shift):
+    # [f_lo, ..., f_hi] from f_0, f_1 and f_{k+1} = (2k+shift)/x f_k - f_{k-1},
+    # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
+    # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
+    # the same relative error into every step's coefficient, 4-6x the error
+    # near x = k.  On large arrays numpy reuses the step's temporaries in
+    # place, so the loop holds three arrays.
+    band = [f0, f1][lo:hi + 1]
+    prev, cur = f0, f1
+    for k in range(1, hi):
+        prev, cur = cur, (2.0 * k + shift) / x * cur - prev
+        if k >= lo - 1:
+            band.append(cur)
+    return band
 
 
 def _hankel_coefficients(count):
@@ -254,16 +273,18 @@ _HANKEL_PQ, _HANKEL_POWER = _hankel_coefficients(int(ASYM_X_MIN))
 _HANKEL_LOG = np.log(np.abs(_HANKEL_PQ).astype(float))
 
 
-def _backward(order, x, shift):
+def _backward(lo, hi, x, shift):
     # Miller's backward recurrence for a minimal solution, up to one factor
     # per element: shift 0 runs f_{k-1} = 2k/x f_k - f_{k+1} (J_k), shift 1
     # f_{k-1} = (2k+1) f_k - x^2 f_{k+1} (y_k = j_k(x)/x^k; Gil, Segura &
     # Temme 2007), which divides by nothing and is exact at x = 0.  The start
-    # order puts the seed error below extended precision.  Returns f_order,
+    # order puts the seed error below extended precision at order hi.
+    # Returns the band [f_lo, ..., f_hi] the loop passes on its way down,
     # f_0, f_1, sum_{k>=1} f_{2k} (shift 0's normalization; zeros for shift
-    # 1, sparing it an array add every other step) and drop: f_order is
-    # 2^(_RESCALE_BITS * drop) times the common scale of the others.
-    big = max(order, int(math.ceil(float(np.max(x)))), 1)
+    # 1, sparing it an array add every other step) and one drop per band
+    # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
+    # f_1 and the sum, the rescales the loop made after passing k.
+    big = max(hi, int(math.ceil(float(np.max(x)))), 1)
     x = x.reshape(()) if x.size == 1 else x  # 0-d: scalar steps, same bits
     start = big + int(math.ceil(14.0 * big ** (1.0 / 3.0))) + 14
     if shift:
@@ -276,7 +297,9 @@ def _backward(order, x, shift):
     fkp1 = np.zeros_like(x)
     fk = np.full_like(x, 1e-30)
     even_sum = fkp1
-    val, drop = fkp1, 0
+    # band[i] was passed when ``drops`` stood at marks[i]; counting the
+    # rescales once and subtracting at the end is exact in integers.
+    band, marks, drops = [], [], np.zeros(x.shape, dtype=int)
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits of
     # J_m.  bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which
@@ -288,8 +311,9 @@ def _backward(order, x, shift):
         else:
             fk, fkp1 = 2.0 * k * inv_x * fk - fkp1, fk
         bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
-        if k - 1 == order:
-            val, drop = fk, 0
+        if lo <= k - 1 <= hi:
+            band.append(fk)
+            marks.append(drops)
         if shift == 0 and (k - 1) % 2 == 0 and k > 1:
             even_sum = even_sum + fk
         if bk > 1e-3 * _RESCALE_LIMIT:
@@ -299,9 +323,10 @@ def _backward(order, x, shift):
                 fk = fk * f
                 fkp1 = fkp1 * f
                 even_sum = even_sum * f
-                drop = drop + clip
+                drops = drops + clip
             bk = min(bk, _RESCALE_LIMIT)
-    return val, fk, fkp1, even_sum, drop
+    return (band[::-1], fk, fkp1, even_sum,
+            [drops - mark for mark in marks[::-1]])
 
 
 def spherical_bessel_j(n, x):
@@ -313,17 +338,32 @@ def spherical_bessel_j(n, x):
 
 
 def spherical_bessel_j_prime(n, x):
-    """Derivative j_n'(x) via (n j_{n-1} - (n+1) j_{n+1}) / (2n+1).
+    """Derivative j_n'(x) = (n j_{n-1} - (n+1) j_{n+1}) / (2n+1), n >= 0.
 
-    The identity is free of divisions by x, so it is exact at x = 0:
-    j_0'(0) = 0, j_1'(0) = 1/3, j_n'(0) = 0 for n >= 2.
+    One pass of the spherical Bessel loop gives both neighbours.  Below
+    x = max(n+1, 1) they come as y_k = j_k(x)/x^k, and
+    j_n' = x^(n-1) (n y_{n-1} - (n+1) x^2 y_{n+1}) / (2n+1) divides by
+    nothing, so it is exact at x = 0: j_0'(0) = 0, j_1'(0) = 1/3,
+    j_n'(0) = 0 for n >= 2.  At n = 0 the y_{-1} term has weight 0 and
+    x^(-1) x^2 is taken as x.  Like ``spherical_bessel_ratio``, the value
+    is a mantissa and a binary exponent until it is rounded once.
     """
     if n < 0:
         raise ValueError(f"order must be non-negative (got n={n})")
-    if n == 0:
-        return -spherical_bessel_j(1, x)
-    return (n * spherical_bessel_j(n - 1, x)
-            - (n + 1) * spherical_bessel_j(n + 1, x)) / (2.0 * n + 1.0)
+    arr, scalar = _nonnegative_array(x)
+    lo = max(n - 1, 0)
+    mant, e, up = _sph_band(lo, n + 1, arr)
+    # j_k = mant_k 2^(e_k) x^(k d), d = 0 where ``up`` and 1 below, so the
+    # bracket n j_lo - (n+1) j_(n+1) is x^(d lo) 2^(e_lo) times
+    # n mant_lo - (n+1) mant_(n+1) x^(d (n+1-lo)) 2^(e_(n+1) - e_lo).  Below,
+    # x < n+1 lies before the first zero of j_lo, so the shift is small;
+    # where x^2 underflows, its term is below eps of the other.
+    c = np.where(up, 0, n + 1 - lo)
+    diff = (n / (2.0 * n + 1.0) * mant[0]
+            - np.ldexp((n + 1) / (2.0 * n + 1.0) * mant[-1] * arr ** c,
+                       e[-1] - e[0]))
+    mant, e = _times_power(diff, e[0], arr, np.where(up, 0, lo))
+    return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
 def spherical_bessel_ratio(n, p, x):
@@ -348,39 +388,59 @@ def _sph_ratio_scaled(n, p, x):
         raise ValueError(f"order must be non-negative (got n={n})")
     if p < 0 or p > n:
         raise ValueError(f"power must satisfy 0 <= p <= n (got n={n}, p={p})")
+    arr, scalar = _nonnegative_array(x)
+    (mant,), (e,), up = _sph_band(n, n, arr)
+    mant, e = _times_power(mant, e, arr, np.where(up, -p, n - p))
+    return mant, e, scalar
+
+
+def _nonnegative_array(x):
     arr, scalar = _as_array(x, "spherical_bessel_ratio")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("argument must be non-negative")
+    return arr, scalar
+
+
+def _sph_band(lo, hi, x):
+    # Orders lo..hi as j_k(x) = mant_k 2^(e_k) x^(k d), one loop per regime,
+    # the regime picked by hi.  Where ``up`` (x >= max(hi, 1)), d = 0 and
+    # mant_k is j_k from the elementary j_0, j_1 and the upward recurrence.
+    # Below, d = 1 and mant_k, |mant_k| <= 1, is y_k = j_k/x^k from the
+    # Miller loop, normalized by y_0 = j_0 (1 at x = 0) or, where
+    # |j_1| > |j_0|, by y_1 = j_1/x; j_0 and j_1 have no common zeros.
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at x = 0
-        j0 = np.sin(arr) / arr
-        j1 = (j0 - np.cos(arr)) / arr
-    mant = np.empty_like(arr)
-    e = np.zeros(arr.shape, dtype=int)
-    up = arr >= max(n, 1)
+        j0 = np.sin(x) / x
+        j1 = (j0 - np.cos(x)) / x
+    mant = np.empty((hi - lo + 1,) + x.shape, dtype=x.dtype)
+    e = np.zeros(mant.shape, dtype=int)
+    up = x >= max(hi, 1)
     if up.any():
-        xs, a, b = arr[up], j0[up], j1[up]
-        for k in range(1, n):
-            b, a = (2.0 * k + 1.0) / xs * b - a, b
-        mant[up] = b if n else a
+        mant[:, up] = _upward(lo, hi, x[up], j0[up], j1[up], 1)
     down = ~up
     if down.any():
-        xs, a, b = arr[down], j0[down], j1[down]
-        val, f0, f1, _, drop = _backward(n, xs, 1)
-        # Normalize by y_0 = j_0 (1 at x = 0) or, where |j_1| > |j_0|, by
-        # y_1 = j_1/x; j_0 and j_1 have no common zeros.
+        xs, a, b = x[down], j0[down], j1[down]
+        vals, f0, f1, _, drops = _backward(lo, hi, xs, 1)
         use1 = np.abs(b) > np.abs(a)
         y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
-        md, ed = np.frexp(val / np.where(use1, f1 * xs, f0) * y)
-        mant[down], e[down] = md, ed - _RESCALE_BITS * drop
-    # Times x^q: frexp(x)'s mantissa^c and exponent*c, |c| <= 1000 per step.
-    q = np.where(up, -p, n - p)
+        norm = np.where(use1, f1 * xs, f0)
+        md, ed = np.frexp(np.array(vals) / norm * y)
+        ed -= _RESCALE_BITS * np.array(drops)
+        # _backward steps a single point as a 0-d array
+        mant[:, down] = md.reshape(-1, xs.size)
+        e[:, down] = ed.reshape(-1, xs.size)
+    return mant, e, up
+
+
+def _times_power(mant, e, x, q):
+    # (mant, e) times x^q: frexp(x)'s mantissa^c and exponent*c, |c| <= 1000
+    # per step, so no factor leaves the double range.
     while q.any():
         c = np.clip(q, -1000, 1000)
-        m, ex = np.frexp(arr)
-        mant, de = np.frexp(mant * m ** c)
+        mx, ex = np.frexp(x)
+        mant, de = np.frexp(mant * mx ** c)
         e = e + de + ex * c
         q = q - c
-    return mant, e, scalar
+    return mant, e
 
 
 def factorial_ratio(n, m):

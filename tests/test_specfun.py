@@ -274,10 +274,10 @@ class TestBesselJ:
         # Miller loop sees only the points below it.
         calls = []
 
-        def guarded(order, x, shift):
-            assert float(np.max(x)) < max(25.0, order), (order, np.max(x))
-            calls.append(order)
-            return miller(order, x, shift)
+        def guarded(lo, hi, x, shift):
+            assert float(np.max(x)) < max(25.0, hi), (hi, np.max(x))
+            calls.append(hi)
+            return miller(lo, hi, x, shift)
 
         miller = specfun._backward
         monkeypatch.setattr(specfun, "_backward", guarded)
