@@ -332,6 +332,45 @@ class TestIntegrateDIdR:
         q = integrate_dI_dR(p)
         assert abs(q.value - closed_form_dI_dR(p)) < 1e-9
 
+    @pytest.mark.parametrize("n, m, alpha, R", [
+        (0, 0, 0.7, 9.0),       # m = 0: J_{-1} = -J_1
+        (4, 0, 0.9, 35.0),      # m = 0, R sin(alpha) = 27.4 crosses 25
+        (5, -1, 0.8, 30.0),     # negative odd m, crosses 25
+        (7, -4, 1.9, 14.0),     # negative even m, Miller only
+        (8, 3, 1.0, 40.0),      # crosses 25 = max(25, |m| + 1)
+        (30, 26, 1.3, 45.0),    # crosses |m| + 1 = 27 > 25
+        (30, -27, 1.3, 45.0),   # the same edge at 28, negative odd m
+    ])
+    def test_matches_closed_form_across_orders_and_regimes(self, n, m, alpha,
+                                                           R):
+        # The Bessel argument R sin(alpha) sqrt(1 - u^2) sweeps [0,
+        # R sin(alpha)], so these cases put nodes in the leading-term,
+        # Miller and Hankel regimes of the band J_{|m|-1}..J_{|m|+1}.
+        p = IntegralParams(n, m, alpha, R)
+        q = integrate_dI_dR(p)
+        exact = closed_form_dI_dR(p)
+        assert q.converged
+        assert abs(q.value - exact) <= 1e-9 * (1.0 + abs(exact))
+
+    @pytest.mark.parametrize("R, loops", [(20.0, ("_backward",)),
+                                          (400.0, ("_backward", "_upward"))])
+    def test_one_bessel_loop_per_regime_per_pass(self, R, loops, loop_calls,
+                                                 monkeypatch):
+        # Each pass evaluates P_n^m once; J_{m-1}, J_m and J_{m+1} come from
+        # one Miller loop (arguments below 25) and one Hankel-plus-upward
+        # loop (above), not one loop per order.
+        passes = []
+
+        def legendre(n, m, u):
+            passes.append(np.size(u))
+            return assoc_legendre(n, m, u)
+
+        monkeypatch.setattr(lbk.oracle, "assoc_legendre", legendre)
+        assert integrate_dI_dR(IntegralParams(8, 3, 1.0, R)).converged
+        assert passes
+        assert loop_calls == {name: len(passes) if name in loops else 0
+                              for name in loop_calls}
+
 
 class TestIntegrateLock:
     def test_measure_only(self):

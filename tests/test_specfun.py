@@ -44,6 +44,20 @@ def _ratio_mp(n, p, x):
                      * mpmath.besselj(n + 0.5, x) / x ** p)
 
 
+def _jp_mp(n, x):
+    # j_n'(x) = (n j_{n-1} - (n+1) j_{n+1})/(2n+1), j_k from J_{k+1/2}, in
+    # 60 digits: the difference cancels where j_n' has a zero.
+    if x == 0.0:
+        return mpmath.mpf(1) / 3 if n == 1 else mpmath.mpf(0)
+    with mpmath.workdps(60):
+        x = _to_mp(x)
+
+        def j(k):
+            return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(k + 0.5, x)
+
+        return (n * j(n - 1) - (n + 1) * j(n + 1)) / (2 * n + 1)
+
+
 class TestAssocLegendre:
     @pytest.mark.parametrize("n, m, x, want", [
         (0, 0, 0.3, 1.0),
@@ -305,6 +319,16 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(2, math.inf)
 
+    @pytest.mark.parametrize("m", [2.5, -0.5, 1e-9, math.nan, math.inf])
+    def test_non_integral_order_raises(self, m):
+        # int(m) would silently give J_2(1) = 0.1149 for J_2.5(1) = 0.0495
+        with pytest.raises(ValueError):
+            bessel_j(m, 1.0)
+
+    def test_integer_types_accepted(self):
+        for m in (np.int64(3), np.int32(-3), 3.0, np.float64(-3.0)):
+            assert bessel_j(m, 1.7) == bessel_j(int(m), 1.7)
+
 
 class TestSphericalBessel:
     def test_goldens(self):
@@ -389,6 +413,48 @@ class TestSphericalBesselPrime:
     def test_negative_order_raises(self):
         with pytest.raises(ValueError):
             spherical_bessel_j_prime(-2, 1.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 20, 40, 80, 120, 169, 170])
+    def test_against_mpmath(self, n):
+        # x = 0, both sides of the regime edge x = n + 1 (and of the
+        # spherical Bessel edge x = n), and a grid up to 1e4: relative
+        # error <= 1e-13 wherever j_n' is in the normal range; below it, 0
+        # or subnormal within one subnormal step, never nan.
+        x = np.concatenate([[0.0, 1e-300, 1e-8, 0.3],
+                            [max(n - 0.5, 0.0), n, n + 0.5, n + 1.0,
+                             np.nextafter(n + 1.0, 0.0)],
+                            np.geomspace(1e-3, 1e4, 25)])
+        got = spherical_bessel_j_prime(n, x)
+        tiny = np.finfo(float).tiny
+        step = _to_mp(np.finfo(float).smallest_subnormal)
+        for g, v in zip(got, x):
+            want = _jp_mp(n, v)
+            assert math.isfinite(g), (n, v)
+            if abs(want) >= tiny:
+                assert abs(_to_mp(g) - want) <= 1e-13 * abs(want), (n, v)
+            else:
+                assert abs(_to_mp(g) - want) <= step, (n, v)
+
+    def test_regime_edges_against_mpmath(self):
+        # every order at x = n - 1/2, n and n + 1/2, around the switch
+        # between the Miller loop and the upward recurrence
+        for n in range(0, 171):
+            for v in (n - 0.5, n, n + 0.5):
+                if v < 0.0:
+                    continue
+                want = _jp_mp(n, v)
+                got = spherical_bessel_j_prime(n, v)
+                assert abs(_to_mp(got) - want) <= 1e-13 * abs(want), (n, v)
+
+    @pytest.mark.parametrize("x, loops", [
+        (5.0, {"_backward": 1, "_upward": 0}),
+        (50.0, {"_backward": 0, "_upward": 1}),
+        (np.array([0.0, 5.0, 50.0]), {"_backward": 1, "_upward": 1}),
+    ])
+    def test_one_loop_per_regime(self, x, loops, loop_calls):
+        # j_{n-1} and j_{n+1} come from one pass of each regime's loop
+        spherical_bessel_j_prime(10, x)
+        assert loop_calls == loops
 
 
 class TestSphericalBesselRatio:
