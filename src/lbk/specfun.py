@@ -285,15 +285,13 @@ def _backward(lo, hi, x, shift):
     # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
     # f_1 and the sum, the rescales the loop made after passing k.
     big = max(hi, int(math.ceil(float(np.max(x)))), 1)
-    x = x.reshape(()) if x.size == 1 else x  # 0-d: scalar steps, same bits
+    x = x.reshape(())[()] if x.size == 1 else x  # numpy scalar steps, same bits
     start = big + int(math.ceil(14.0 * big ** (1.0 / 3.0))) + 14
     if shift:
         x2 = x * x
         a, b = 1.0, float(np.max(x2))
     else:
-        # Multiplying by 1/x beats dividing on large node arrays.
-        inv_x = 1.0 / x
-        a, b = float(np.max(inv_x)), 1.0
+        a, b = 1.0 / float(np.min(x)), 1.0
     fkp1 = np.zeros_like(x)
     fk = np.full_like(x, 1e-30)
     even_sum = fkp1
@@ -309,7 +307,10 @@ def _backward(lo, hi, x, shift):
         if shift:
             fk, fkp1 = (2.0 * k + 1.0) * fk - x2 * fkp1, fk
         else:
-            fk, fkp1 = 2.0 * k * inv_x * fk - fkp1, fk
+            # 2k/x rounded once per step, as in _upward: a shared 1/x would
+            # put one relative error into every step, and J_m's would grow
+            # as |m| eps where x << |m|.
+            fk, fkp1 = 2.0 * k / x * fk - fkp1, fk
         bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
         if lo <= k - 1 <= hi:
             band.append(fk)
