@@ -376,9 +376,10 @@ def integrate_dI_dR(p, spec=QuadratureSpec()):
     J_m' = (J_{m-1} - J_{m+1}) / 2.  With A = cos(a) u J_m (odd in u) and
     B = sin(a) su J_m' (even), f(u) + f(-u) is 2 P (B cos - A sin) for
     even n + m and 2 i P (A cos + B sin) for odd, the trigonometric
-    functions taken at R cos(a) u.  One Bessel loop per pass gives the
-    orders |m|-1..|m|+1 (0..1 at m = 0, with J_{-1} = -J_1), and
-    J_{-k} = (-1)^k J_k carries both J_m and J_m' to m < 0.
+    functions taken at R cos(a) u.  Each pass takes the orders
+    |m|-1..|m|+1 (0..1 at m = 0, with J_{-1} = -J_1) from one band, one
+    loop per Bessel regime, and J_{-k} = (-1)^k J_k carries both J_m and
+    J_m' to m < 0.
     """
     am = abs(p.m)
     sign = -1.0 if p.m < 0 and am % 2 else 1.0

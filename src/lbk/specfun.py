@@ -14,10 +14,14 @@ is then bounded by about max(ASYM_X_MIN, |m|).  Where |x| < sqrt(eps
 (|m|+1)) the leading term (x/2)^|m|/|m|! is J_m to rounding and stands in
 for the loop.  J_k and y_k = j_k(x)/x^k are the minimal solutions
 of J_{k-1} = 2k/x J_k - J_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1};
-they share one Miller loop, each with its own normalization.  The loop
-rescales by counted powers of two, so j_n(x)/x^p is a mantissa and a
-binary exponent, rounded once, and never passes through a j_n or x^p
-outside the double range.  The P_n^m degree recurrence is the only
+they share one Miller loop, each with its own normalization, and J_k and
+j_k above their Miller regimes share one upward recurrence.  Each loop
+returns the band of orders lo..hi it passes on one pass, and the regime is
+picked from hi: J_m and j_n are one-order bands, and the derivatives take
+their neighbouring orders from one band.  The Miller loop rescales by
+counted powers of two, so j_n(x)/x^p is a mantissa and a binary exponent,
+rounded once, and never passes through a j_n or x^p outside the double
+range.  The P_n^m degree recurrence is the only
 Legendre evaluator in the package; the quadrature oracle builds its rules
 from the recurrence coefficients of its Jacobi-Kronrod matrix instead.
 
@@ -285,19 +289,20 @@ def _backward(lo, hi, x, shift):
     # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
     # f_1 and the sum, the rescales the loop made after passing k.
     big = max(hi, int(math.ceil(float(np.max(x)))), 1)
-    x = x.reshape(())[()] if x.size == 1 else x  # numpy scalar steps, same bits
+    x = x.reshape(()) if x.size == 1 else x  # 0-d: scalar steps, same bits
     start = big + int(math.ceil(14.0 * big ** (1.0 / 3.0))) + 14
+    fkp1 = np.zeros_like(x)
+    fk = np.full_like(x, 1e-30)
     if shift:
         x2 = x * x
         a, b = 1.0, float(np.max(x2))
     else:
+        x = x[()]  # 0-d becomes a numpy scalar, which divides faster
         a, b = 1.0 / float(np.min(x)), 1.0
-    fkp1 = np.zeros_like(x)
-    fk = np.full_like(x, 1e-30)
     even_sum = fkp1
     # band[i] was passed when ``drops`` stood at marks[i]; counting the
     # rescales once and subtracting at the end is exact in integers.
-    band, marks, drops = [], [], np.zeros(x.shape, dtype=int)
+    band, marks, drops = [], [], 0
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits of
     # J_m.  bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which
@@ -404,19 +409,20 @@ def _nonnegative_array(x):
 
 def _sph_band(lo, hi, x):
     # Orders lo..hi as j_k(x) = mant_k 2^(e_k) x^(k d), one loop per regime,
-    # the regime picked by hi.  Where ``up`` (x >= max(hi, 1)), d = 0 and
-    # mant_k is j_k from the elementary j_0, j_1 and the upward recurrence.
-    # Below, d = 1 and mant_k, |mant_k| <= 1, is y_k = j_k/x^k from the
-    # Miller loop, normalized by y_0 = j_0 (1 at x = 0) or, where
+    # the regime picked by hi.  Where ``up`` (x >= max(hi, 1)), d = 0, e_k =
+    # 0 and mant_k is j_k from the elementary j_0, j_1 and the upward
+    # recurrence.  Below, d = 1 and mant_k, |mant_k| <= 1, is y_k = j_k/x^k
+    # from the Miller loop, normalized by y_0 = j_0 (1 at x = 0) or, where
     # |j_1| > |j_0|, by y_1 = j_1/x; j_0 and j_1 have no common zeros.
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at x = 0
         j0 = np.sin(x) / x
         j1 = (j0 - np.cos(x)) / x
-    mant = np.empty((hi - lo + 1,) + x.shape, dtype=x.dtype)
-    e = np.zeros(mant.shape, dtype=int)
+    mant = [np.empty_like(x) for _ in range(lo, hi + 1)]
+    e = [0] * len(mant)
     up = x >= max(hi, 1)
     if up.any():
-        mant[:, up] = _upward(lo, hi, x[up], j0[up], j1[up], 1)
+        for row, val in zip(mant, _upward(lo, hi, x[up], j0[up], j1[up], 1)):
+            row[up] = val
     down = ~up
     if down.any():
         xs, a, b = x[down], j0[down], j1[down]
@@ -424,11 +430,10 @@ def _sph_band(lo, hi, x):
         use1 = np.abs(b) > np.abs(a)
         y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
         norm = np.where(use1, f1 * xs, f0)
-        md, ed = np.frexp(np.array(vals) / norm * y)
-        ed -= _RESCALE_BITS * np.array(drops)
-        # _backward steps a single point as a 0-d array
-        mant[:, down] = md.reshape(-1, xs.size)
-        e[:, down] = ed.reshape(-1, xs.size)
+        for i, (val, drop) in enumerate(zip(vals, drops)):
+            md, ed = np.frexp(val / norm * y)
+            e[i] = np.zeros(x.shape, dtype=int)
+            mant[i][down], e[i][down] = md, ed - _RESCALE_BITS * drop
     return mant, e, up
 
 

@@ -245,10 +245,10 @@ class TestBesselJ:
     @pytest.mark.parametrize("m", [10, 40, 100, 170])
     def test_miller_small_argument_against_mpmath(self, m):
         # x in (0, m/4], where J_m is far below 1 and the Miller loop runs
-        # about m steps above it.  One rounded 1/x shared by every step
-        # made the relative error grow as m eps (median 6e-15, max 1.8e-14
-        # at m = 170); 2k/x rounded per step leaves a random walk of the
-        # steps' roundings: median <= 1e-15, max <= 6e-15.
+        # about m steps above it.  With 2k/x rounded per step the relative
+        # error is a random walk of the steps' roundings, not a drift of
+        # m eps (a shared rounded 1/x reads median 6e-15, max 1.8e-14 at
+        # m = 170 here).
         x = np.linspace(0.0, m / 4.0, 201)[1:]
         errs = []
         with mpmath.workdps(40):
