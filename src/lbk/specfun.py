@@ -245,12 +245,18 @@ def _upward(lo, hi, x, f0, f1, shift):
     # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
     # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
     # the same relative error into every step's coefficient, 4-6x the error
-    # near x = k.  On large arrays numpy reuses the step's temporaries in
-    # place, so the loop holds three arrays.
+    # near x = k.  Updates are in place, so the loop holds three arrays; a
+    # single point steps as numpy scalars, for which in-place operators
+    # rebind instead and which step faster than one-point arrays.
+    if x.size == 1:
+        x, f0, f1 = x[0], f0[0], f1[0]
     band = [f0, f1][lo:hi + 1]
     prev, cur = f0, f1
     for k in range(1, hi):
-        prev, cur = cur, (2.0 * k + shift) / x * cur - prev
+        nxt = (2.0 * k + shift) / x
+        nxt *= cur
+        nxt -= prev
+        prev, cur = cur, nxt
         if k >= lo - 1:
             band.append(cur)
     return band
@@ -358,17 +364,12 @@ def spherical_bessel_j_prime(n, x):
         raise ValueError(f"order must be non-negative (got n={n})")
     arr, scalar = _nonnegative_array(x)
     lo = max(n - 1, 0)
-    mant, e, up = _sph_band(lo, n + 1, arr)
-    # j_k = mant_k 2^(e_k) x^(k d), d = 0 where ``up`` and 1 below, so the
-    # bracket n j_lo - (n+1) j_(n+1) is x^(d lo) 2^(e_lo) times
-    # n mant_lo - (n+1) mant_(n+1) x^(d (n+1-lo)) 2^(e_(n+1) - e_lo).  Below,
-    # x < n+1 lies before the first zero of j_lo, so the shift is small;
-    # where x^2 underflows, its term is below eps of the other.
-    c = np.where(up, 0, n + 1 - lo)
-    diff = (n / (2.0 * n + 1.0) * mant[0]
-            - np.ldexp((n + 1) / (2.0 * n + 1.0) * mant[-1] * arr ** c,
-                       e[-1] - e[0]))
-    mant, e = _times_power(diff, e[0], arr, np.where(up, 0, lo))
+    # Below, the band's rows are y_lo and y_(n+1) x^(n+1-lo), so the
+    # bracket times x^lo is the formula above (-x y_1 at n = 0); above,
+    # they are j_(n-1) and j_(n+1).
+    mant, e, up = _sph_band((lo, n + 1), arr)
+    diff = (n * mant[0] - (n + 1) * mant[-1]) / (2.0 * n + 1.0)
+    mant, e = _times_power(diff, e, arr, np.where(up, 0, lo))
     return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
@@ -395,7 +396,7 @@ def _sph_ratio_scaled(n, p, x):
     if p < 0 or p > n:
         raise ValueError(f"power must satisfy 0 <= p <= n (got n={n}, p={p})")
     arr, scalar = _nonnegative_array(x)
-    (mant,), (e,), up = _sph_band(n, n, arr)
+    (mant,), e, up = _sph_band((n,), arr)
     mant, e = _times_power(mant, e, arr, np.where(up, -p, n - p))
     return mant, e, scalar
 
@@ -407,22 +408,26 @@ def _nonnegative_array(x):
     return arr, scalar
 
 
-def _sph_band(lo, hi, x):
-    # Orders lo..hi as j_k(x) = mant_k 2^(e_k) x^(k d), one loop per regime,
-    # the regime picked by hi.  Where ``up`` (x >= max(hi, 1)), d = 0, e_k =
-    # 0 and mant_k is j_k from the elementary j_0, j_1 and the upward
-    # recurrence.  Below, d = 1 and mant_k, |mant_k| <= 1, is y_k = j_k/x^k
-    # from the Miller loop, normalized by y_0 = j_0 (1 at x = 0) or, where
+def _sph_band(orders, x):
+    # j_k(x) / x^(d lo) = mant_k 2^e for the ascending ``orders`` k, from one
+    # loop per regime over their band lo..hi, picked by hi, with one
+    # exponent e per point.  Where ``up`` (x >= max(hi, 1)), d = 0, e = 0
+    # and mant_k is j_k from the elementary j_0, j_1 and the upward
+    # recurrence.  Below, d = 1 and mant_k is y_k x^(k-lo), y_k = j_k/x^k
+    # from the Miller loop, |mant_k| <= 1: x < hi lies below the first zero
+    # of j_lo.  The loop is normalized by y_0 = j_0 (1 at x = 0) or, where
     # |j_1| > |j_0|, by y_1 = j_1/x; j_0 and j_1 have no common zeros.
+    lo, hi = orders[0], orders[-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at x = 0
         j0 = np.sin(x) / x
         j1 = (j0 - np.cos(x)) / x
-    mant = [np.empty_like(x) for _ in range(lo, hi + 1)]
-    e = [0] * len(mant)
+    mant = [np.empty_like(x) for _ in orders]
+    e = 0
     up = x >= max(hi, 1)
     if up.any():
-        for row, val in zip(mant, _upward(lo, hi, x[up], j0[up], j1[up], 1)):
-            row[up] = val
+        band = _upward(lo, hi, x[up], j0[up], j1[up], 1)
+        for row, k in zip(mant, orders):
+            row[up] = band[k - lo]
     down = ~up
     if down.any():
         xs, a, b = x[down], j0[down], j1[down]
@@ -430,10 +435,15 @@ def _sph_band(lo, hi, x):
         use1 = np.abs(b) > np.abs(a)
         y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
         norm = np.where(use1, f1 * xs, f0)
-        for i, (val, drop) in enumerate(zip(vals, drops)):
-            md, ed = np.frexp(val / norm * y)
-            e[i] = np.zeros(x.shape, dtype=int)
-            mant[i][down], e[i][down] = md, ed - _RESCALE_BITS * drop
+        md, ed = np.frexp(vals[0] / norm * y)
+        ed -= _RESCALE_BITS * drops[0]
+        mant[0][down] = md
+        for row, k in zip(mant[1:], orders[1:]):
+            i = k - lo
+            row[down] = np.ldexp(vals[i] / norm * y * xs ** i,
+                                 -_RESCALE_BITS * drops[i] - ed)
+        e = np.zeros(x.shape, dtype=int)
+        e[down] = ed
     return mant, e, up
 
 
