@@ -245,9 +245,9 @@ def _upward(lo, hi, x, f0, f1, shift):
     # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
     # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
     # the same relative error into every step's coefficient, 4-6x the error
-    # near x = k.  Updates are in place, so the loop holds three arrays; a
-    # single point steps as numpy scalars, for which in-place operators
-    # rebind instead and which step faster than one-point arrays.
+    # near x = k and, in the Miller loop, k eps where x << k.  Updates are
+    # in place, so the loop holds three arrays; a single point steps as
+    # numpy scalars, which rebind instead and step faster.
     if x.size == 1:
         x, f0, f1 = x[0], f0[0], f1[0]
     band = [f0, f1][lo:hi + 1]
@@ -318,9 +318,7 @@ def _backward(lo, hi, x, shift):
         if shift:
             fk, fkp1 = (2.0 * k + 1.0) * fk - x2 * fkp1, fk
         else:
-            # 2k/x rounded once per step, as in _upward: a shared 1/x would
-            # put one relative error into every step, and J_m's would grow
-            # as |m| eps where x << |m|.
+            # 2k/x rounded once per step, for the reason given in _upward
             fk, fkp1 = 2.0 * k / x * fk - fkp1, fk
         bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
         if lo <= k - 1 <= hi:
