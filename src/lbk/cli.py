@@ -132,6 +132,11 @@ def cmd_quad(args):
     return 0
 
 
+def _part(z, name):
+    # A side that raised has no value; its parts render as null.
+    return None if z is None else getattr(z, name)
+
+
 def cmd_verify(args):
     cfg = _from_args(SweepConfig, args)
     if cfg is None:
@@ -146,10 +151,12 @@ def cmd_verify(args):
         "total": report.total,
         "failures": [
             {"n": f.params.n, "m": f.params.m, "alpha": f.params.alpha,
-             "R": f.params.R, "closed_re": f.closed.real,
-             "closed_im": f.closed.imag, "oracle_re": f.oracle.real,
-             "oracle_im": f.oracle.imag, "abs_err": f.abs_err,
-             "rel_err": f.rel_err, "converged": f.oracle_converged}
+             "R": f.params.R, "closed_re": _part(f.closed, "real"),
+             "closed_im": _part(f.closed, "imag"),
+             "oracle_re": _part(f.oracle, "real"),
+             "oracle_im": _part(f.oracle, "imag"), "abs_err": f.abs_err,
+             "rel_err": f.rel_err, "converged": f.oracle_converged,
+             "reason": f.reason}
             for f in report.failures],
         "max_abs_err": report.max_abs_err,
         "max_rel_err": report.max_rel_err,

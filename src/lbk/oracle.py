@@ -63,8 +63,8 @@ _NOISE_GUARD = 4.0
 
 # Most nodes one pass's layout may hold, (2N+1) P for P panels, counted in
 # full although a pass evaluates only the u >= 0 half: 8 MB per float64
-# array over that half.  The default seed at R = 1e4 and n = 170 is 966
-# panels, 63 k nodes.
+# array over that half.  The default seed at R = 1e4 and n = 170 is 881
+# panels, 57 k nodes.
 MAX_NODES = 1 << 21
 
 # Highest Gauss order N per panel.  Building the rule takes O(N^2) time in
@@ -86,7 +86,7 @@ class QuadratureSpec:
     """Panel counts, node order and stopping tolerances for the oracle.
 
     ``base_panels = None`` selects the oscillation-aware seeding rule
-    max(8, ceil(R/(4 pi)) + n) of the operation being integrated, on
+    max(8, ceil(R/(4 pi)) + ceil(n/2)) of the operation being integrated, on
     panels uniform in theta.  Each panel carries the ``nodes_per_panel``
     point Gauss rule inside its Kronrod extension, so one pass over P
     panels evaluates (2 nodes_per_panel + 1) P nodes.  A pass converges
@@ -339,9 +339,10 @@ def _refine(pair, imaginary, spec, auto_panels):
 def _auto_panels(x, degree):
     # A theta-uniform panel of width pi/P carries a phase of at most about
     # x*pi/P; ceil(x/(4 pi)) panels hold that under ~4 pi^2 radians (about
-    # 6 periods per 32-node panel), and degree adds one panel per zero of the
-    # Legendre factor.
-    return max(8, int(math.ceil(x / (4.0 * math.pi))) + degree)
+    # 6 periods per 32-node panel), and degree adds one panel per two zeros
+    # of the Legendre factor, which the Kronrod rule, exact to degree 97,
+    # resolves within one panel.
+    return max(8, int(math.ceil(x / (4.0 * math.pi))) + (degree + 1) // 2)
 
 
 def _exp_times_even(amplitude, rate, odd, spec, auto_panels):

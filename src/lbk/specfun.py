@@ -29,6 +29,7 @@ Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -123,18 +124,29 @@ def assoc_legendre(n, m, x):
 def _legendre_upward(n, m, x, seed=1.0):
     # Seed P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, times ``seed``, then raise
     # the degree with (n-m) P_n^m = x(2n-1) P_{n-1}^m - (n+m-1) P_{n-2}^m,
-    # stable for |x| <= 1.
+    # stable for |x| <= 1.  A single point steps as numpy scalars, which
+    # rebind; arrays step in place through three buffers, with the same bits.
+    scalar = x.ndim == 0
+    x = x[()]
     somx2 = np.sqrt((1.0 - x) * (1.0 + x))
-    pmm = np.full_like(x, seed)
+    pmm = np.full_like(x, seed)[()]
     fact = 1.0
     for _ in range(m):
-        pmm = pmm * (-fact) * somx2
+        pmm *= -fact
+        pmm *= somx2
         fact += 2.0
     if n == m:
         return pmm
     pnm = (2.0 * m + 1.0) * x * pmm
+    spare = None if scalar else np.empty_like(x)
     for k in range(m + 2, n + 1):
-        pnm, pmm = ((2.0 * k - 1.0) * x * pnm - (k + m - 1.0) * pmm) / (k - m), pnm
+        nxt = ((2.0 * k - 1.0) * x if scalar
+               else np.multiply(x, 2.0 * k - 1.0, out=spare))
+        nxt *= pnm
+        pmm *= k + m - 1.0
+        nxt -= pmm
+        nxt /= k - m
+        pmm, pnm, spare = pnm, nxt, pmm
     return pnm
 
 
@@ -287,25 +299,31 @@ def _backward(lo, hi, x, shift):
     # Miller's backward recurrence for a minimal solution, up to one factor
     # per element: shift 0 runs f_{k-1} = 2k/x f_k - f_{k+1} (J_k), shift 1
     # f_{k-1} = (2k+1) f_k - x^2 f_{k+1} (y_k = j_k(x)/x^k; Gil, Segura &
-    # Temme 2007), which divides by nothing and is exact at x = 0.  The start
-    # order puts the seed error below extended precision at order hi.
+    # Temme 2007), which divides by nothing and is exact at x = 0.  The loop
+    # starts at _miller_start for the eps of x's dtype.
     # Returns the band [f_lo, ..., f_hi] the loop passes on its way down,
     # f_0, f_1, sum_{k>=1} f_{2k} (shift 0's normalization; zeros for shift
     # 1, sparing it an array add every other step) and one drop per band
     # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
     # f_1 and the sum, the rescales the loop made after passing k.
-    big = max(hi, int(math.ceil(float(np.max(x)))), 1)
-    x = x.reshape(()) if x.size == 1 else x  # 0-d: scalar steps, same bits
-    start = big + int(math.ceil(14.0 * big ** (1.0 / 3.0))) + 14
-    fkp1 = np.zeros_like(x)
-    fk = np.full_like(x, 1e-30)
+    xmax = float(x.max())
+    big = max(hi, int(math.ceil(xmax)), 1)
+    start = _miller_start(big, x.dtype)
     if shift:
-        x2 = x * x
-        a, b = 1.0, float(np.max(x2))
+        a, b = 1.0, xmax * xmax
     else:
-        x = x[()]  # 0-d becomes a numpy scalar, which divides faster
-        a, b = 1.0 / float(np.min(x)), 1.0
-    even_sum = fkp1
+        a, b = 1.0 / float(x.min()), 1.0
+    # A single point steps as numpy scalars, which rebind and step faster;
+    # arrays step in place through three buffers.  Both give the same bits.
+    scalar = x.size == 1
+    if scalar:
+        x = x.reshape(())[()]
+        fk, fkp1 = x.dtype.type(1e-30), x.dtype.type(0.0)
+        even_sum, spare = fkp1, None
+    else:
+        fk, fkp1 = np.full_like(x, 1e-30), np.zeros_like(x)
+        even_sum, spare = np.zeros_like(x), np.empty_like(x)
+    x2 = x * x if shift else None
     # band[i] was passed when ``drops`` stood at marks[i]; counting the
     # rescales once and subtracting at the end is exact in integers.
     band, marks, drops = [], [], 0
@@ -315,17 +333,28 @@ def _backward(lo, hi, x, shift):
     # the 1e-3 margin absorbs, so the test runs only where it could fire.
     bk, bkp1 = 1e-30, 0.0
     for k in range(start, 0, -1):
-        if shift:
-            fk, fkp1 = (2.0 * k + 1.0) * fk - x2 * fkp1, fk
+        # 2k/x is rounded once per step, for the reason given in _upward
+        if scalar and shift:
+            nxt = (2.0 * k + 1.0) * fk - x2 * fkp1
+        elif scalar:
+            nxt = 2.0 * k / x * fk - fkp1
         else:
-            # 2k/x rounded once per step, for the reason given in _upward
-            fk, fkp1 = 2.0 * k / x * fk - fkp1, fk
+            nxt = spare
+            if shift:
+                np.multiply(fk, 2.0 * k + 1.0, out=nxt)
+                fkp1 *= x2
+            else:
+                np.divide(2.0 * k, x, out=nxt)
+                nxt *= fk
+            nxt -= fkp1
+            spare = fkp1
+        fk, fkp1 = nxt, fk
         bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
         if lo <= k - 1 <= hi:
-            band.append(fk)
+            band.append(fk if scalar else fk.copy())
             marks.append(drops)
         if shift == 0 and (k - 1) % 2 == 0 and k > 1:
-            even_sum = even_sum + fk
+            even_sum += fk
         if bk > 1e-3 * _RESCALE_LIMIT:
             clip = np.abs(fk) > _RESCALE_LIMIT
             if clip.any():
@@ -337,6 +366,27 @@ def _backward(lo, hi, x, shift):
             bk = min(bk, _RESCALE_LIMIT)
     return (band[::-1], fk, fkp1, even_sum,
             [drops - mark for mark in marks[::-1]])
+
+
+@functools.lru_cache(maxsize=1024)
+def _miller_start(big, dtype):
+    # Start order N of the Miller loop for arguments x <= big and orders
+    # <= big.  Started at N, the loop yields J_k - (J_{N+1}/Y_{N+1}) Y_k up
+    # to a factor.  That error is largest near k = N, about |J_{N+1}|, and
+    # so enters the normalization sum J_0 + 2 sum J_{2k}; at the band orders
+    # k <= big it is about N |J_N|^2 times J_k's envelope, as |J_N Y_N| is
+    # about 1/N.  So N is the first order past big where DLMF 10.14.5,
+    # |J_N(x)| <= x^N e^s / (N + s)^N with s = sqrt(N^2 - x^2), puts
+    # J_N(big), the largest over x <= big, below the dtype's eps.  The
+    # spherical loop, normalized at order 0 or 1, needs only the band's
+    # condition and starts at the same order.
+    target = math.log(float(np.finfo(dtype).eps))
+    n = big + 1
+    while True:
+        s = math.sqrt(float(n * n - big * big))
+        if n * math.log(big / (n + s)) + s <= target:
+            return n
+        n += 1
 
 
 def spherical_bessel_j(n, x):
@@ -448,9 +498,9 @@ def _sph_band(orders, x):
 def _times_power(mant, e, x, q):
     # (mant, e) times x^q: frexp(x)'s mantissa^c and exponent*c, |c| <= 1000
     # per step, so no factor leaves the double range.
+    mx, ex = np.frexp(x)
     while q.any():
-        c = np.clip(q, -1000, 1000)
-        mx, ex = np.frexp(x)
+        c = np.minimum(np.maximum(q, -1000), 1000)
         mant, de = np.frexp(mant * mx ** c)
         e = e + de + ex * c
         q = q - c

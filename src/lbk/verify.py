@@ -75,13 +75,17 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CaseReport:
+    """One case of a sweep.  A side that raised leaves its value and both
+    errors None, and ``reason`` names the side and its message."""
+
     params: IntegralParams
-    closed: complex
-    oracle: complex
-    abs_err: float
-    rel_err: float
+    closed: complex | None
+    oracle: complex | None
+    abs_err: float | None
+    rel_err: float | None
     passed: bool
     oracle_converged: bool
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -142,9 +146,21 @@ def draw_cases(cfg):
 
 
 def check_identity(p, spec=QuadratureSpec(), abs_tol=1e-8, rel_tol=1e-8):
-    """Compare the closed form against the oracle for one parameter tuple."""
-    closed = closed_form_I(p)
-    quad = integrate_I(p, spec)
+    """Compare the closed form against the oracle for one parameter tuple.
+
+    A side that raises ValueError or OverflowError (a factor past the
+    double range, say) fails the case instead of the sweep.
+    """
+    try:
+        closed = closed_form_I(p)
+    except (ValueError, OverflowError) as exc:
+        return CaseReport(p, None, None, None, None, False, False,
+                          f"closed form: {exc}")
+    try:
+        quad = integrate_I(p, spec)
+    except (ValueError, OverflowError) as exc:
+        return CaseReport(p, closed, None, None, None, False, False,
+                          f"oracle: {exc}")
     abs_err = abs(closed - quad.value)
     rel_err = abs_err / (1.0 + abs(closed))
     passed = quad.converged and (abs_err <= abs_tol or rel_err <= rel_tol)
@@ -178,8 +194,10 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
         config=cfg,
         total=len(reports),
         failures=failures,
-        max_abs_err=max((r.abs_err for r in reports), default=0.0),
-        max_rel_err=max((r.rel_err for r in reports), default=0.0),
+        max_abs_err=max((r.abs_err for r in reports if r.abs_err is not None),
+                        default=0.0),
+        max_rel_err=max((r.rel_err for r in reports if r.rel_err is not None),
+                        default=0.0),
         wall_time=time.perf_counter() - start,
     )
 

@@ -214,6 +214,23 @@ class TestVerify:
         assert code == 1
         assert len(json.loads(out)["failures"]) >= 1
 
+    def test_raising_case_is_reported_exit_1(self, capsys):
+        # (167, 156, 2.039, 19.22) overflows P_n^m in the closed form and
+        # (170, 169, 2.606, 14.61) in the oracle's integrand: both are
+        # failure records with a reason, last key, and no nan or inf.
+        code, out, err = run(capsys, ["verify", "--n-max", "170", "--R-max",
+                                      "50", "--cases", "200", "--seed", "11"])
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["total"] == 200
+        assert all(list(f)[-1] == "reason" for f in rep["failures"])
+        reasons = {(f["n"], f["m"]): f["reason"] for f in rep["failures"]
+                   if f["reason"] is not None}
+        assert reasons[(167, 156)].startswith("closed form: P_n^m overflows")
+        assert reasons[(170, 169)].startswith("oracle: P_n^m overflows")
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+
     def test_invalid_workers_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("LBK_WORKERS", "-3")
         code, _, err = run(capsys, ["verify", "--cases", "2"])

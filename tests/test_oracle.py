@@ -22,6 +22,7 @@ from lbk.oracle import (
     integrate_poisson_exp,
 )
 from lbk.specfun import assoc_legendre, bessel_j
+from lbk.verify import SWEEP_ORACLE_SPEC, SweepConfig, draw_cases
 
 FOUR_OVER_PI = 1.2732395447351628
 
@@ -230,7 +231,7 @@ class TestIntegrateI:
         q = integrate_I(p)
         assert q.converged
         assert abs(q.value - c) / (1.0 + abs(c)) <= 1e-12
-        assert q.panels_used <= 2 * max(8, math.ceil(R / (4 * math.pi)) + 5)
+        assert q.panels_used <= 2 * lbk.oracle._auto_panels(R, 5)
 
     def test_seed_past_node_cap_is_rejected(self):
         with pytest.raises(ValueError, match="nodes per pass"):
@@ -266,11 +267,46 @@ class TestIntegrateI:
             return bessel_j(m, x)
 
         monkeypatch.setattr(lbk.oracle, "bessel_j", counting)
-        seed = max(8, math.ceil(R / (4 * math.pi)) + 5)
+        seed = lbk.oracle._auto_panels(R, 5)
         q = integrate_I(IntegralParams(5, 2, alpha, R))
         assert q.converged
         assert q.panels_used == seed
         assert points == [(65 * seed + 1) // 2]
+
+    def test_sweep_draws_converge_at_seed(self):
+        # One panel per two Legendre zeros: every case of a default-domain
+        # sweep draw (n <= 20, R <= 50, alpha margin 0.05) is accepted at
+        # its seed layout under the sweep's stopping rule and agrees with
+        # the closed form to the sweep tolerance.
+        cfg = SweepConfig(seed=1, cases=400, alpha_margin=0.05)
+        for p in draw_cases(cfg):
+            q = integrate_I(p, SWEEP_ORACLE_SPEC)
+            c = closed_form_I(p)
+            assert q.converged, p
+            assert q.panels_used == lbk.oracle._auto_panels(p.R, p.n), p
+            assert abs(q.value - c) / (1.0 + abs(c)) <= cfg.rel_tol, p
+
+    def test_integrand_leaves_node_arrays_unmodified(self, monkeypatch):
+        # The specfun calls of each pass, in double and in extended
+        # precision, return without writing to the node arrays they get.
+        checked = []
+
+        def guarded(fn):
+            def call(*args):
+                before = args[-1].copy()
+                out = fn(*args)
+                assert np.array_equal(args[-1], before), fn.__name__
+                checked.append(args[-1].dtype)
+                return out
+            return call
+
+        for name in ("assoc_legendre", "bessel_j"):
+            monkeypatch.setattr(lbk.oracle, name,
+                                guarded(getattr(lbk.oracle, name)))
+        # escalates to extended precision where the platform has it
+        q = integrate_I(IntegralParams(20, 20, 0.3, 48.0), SWEEP_ORACLE_SPEC)
+        assert q.converged
+        assert len(checked) == (4 if _HAS_EXTENDED else 2)
 
     @pytest.mark.parametrize("panels", [15, 16])
     @pytest.mark.parametrize("n, m", [(7, 3), (6, -3)])

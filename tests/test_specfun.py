@@ -185,6 +185,29 @@ class TestAssocLegendre:
         x = np.linspace(-1, 1, 5).astype(np.longdouble)
         assert assoc_legendre(6, 2, x).dtype == np.longdouble
 
+    @pytest.mark.parametrize("degrees", [range(0, 21), (57, 101),
+                                         (150, 169), (170,)])
+    def test_array_matches_scalars_every_order(self, degrees):
+        # The in-place array recurrence and the numpy-scalar one give the
+        # same bits at every order of each degree, up to the cap; where the
+        # array raises OverflowError, so does the scalar call at some point.
+        # (Every degree <= 170 takes ~13 s; these span the range.)
+        x = np.array([-1.0, -0.93, -0.2, 0.0, 0.31, 0.55, 0.999])
+        for n in degrees:
+            for m in range(-n, n + 1):
+                scalars = []
+                for v in x:
+                    try:
+                        scalars.append(assoc_legendre(n, m, float(v)))
+                    except OverflowError:
+                        scalars.append(None)
+                try:
+                    got = assoc_legendre(n, m, x)
+                except OverflowError:
+                    assert None in scalars, (n, m)
+                    continue
+                assert list(got) == scalars, (n, m)
+
 
 class TestBesselJ:
     def test_goldens(self):
@@ -241,6 +264,31 @@ class TestBesselJ:
                     err = abs(_to_mp(g) - mpmath.besselj(m, v))
                     envelope = min(1, mpmath.sqrt(2 / (mpmath.pi * v)))
                     assert err <= bound * envelope, (m, v)
+
+    @pytest.mark.parametrize("dtype, steps", [
+        (np.float64, 60),
+        pytest.param(np.longdouble, 65, marks=_EXTENDED_ONLY),
+    ])
+    def test_miller_start_follows_dtype(self, dtype, steps, loop_calls):
+        # At big = max(hi, ceil(max x)) = 25 the loop starts where the bound
+        # on J_N(25) falls below the dtype's eps: 60 steps in double and 65
+        # in extended precision, against 80 for both when every dtype took
+        # the extended-precision margin 14 big^(1/3) + 14.
+        bessel_j(25, np.array([3.0, 24.5], dtype=dtype))
+        assert loop_calls == {"_backward": 1, "_upward": 0}
+        assert loop_calls.miller_steps == [steps]
+
+    @pytest.mark.parametrize("dtype", [
+        np.float64, pytest.param(np.longdouble, marks=_EXTENDED_ONLY)])
+    def test_miller_start_puts_truncation_below_eps(self, dtype):
+        # The truncation error of the Miller loop started at N is about
+        # |J_(N+1)(x)| <= |J_N(big)| for x <= big; mpmath puts it below eps.
+        eps = float(np.finfo(dtype).eps)
+        with mpmath.workdps(30):
+            for big in (1, 2, 5, 25, 60, 100, 170, 1000):
+                start = specfun._miller_start(big, np.dtype(dtype))
+                assert big < start
+                assert abs(mpmath.besselj(start, big)) <= eps, big
 
     @pytest.mark.parametrize("m", [10, 40, 100, 170])
     def test_miller_small_argument_against_mpmath(self, m):
@@ -558,3 +606,22 @@ class TestFactorialRatio:
             factorial_ratio(171, 0)
         with pytest.raises(OverflowError):
             factorial_ratio(170, 170)
+
+
+@pytest.mark.parametrize("dtype", [
+    np.float64, pytest.param(np.longdouble, marks=_EXTENDED_ONLY)])
+def test_array_arguments_left_unmodified(dtype):
+    # The recurrences step in place on their own buffers, never on the
+    # caller's array: every regime and the negative orders.
+    x = np.concatenate([[0.0, 1e-9], np.linspace(0.5, 60.0, 40)]).astype(dtype)
+    u = np.linspace(-1.0, 1.0, 41).astype(dtype)
+    calls = [(bessel_j, (0,), x), (bessel_j, (-7,), x), (bessel_j, (40,), x),
+             (spherical_bessel_j, (0,), x), (spherical_bessel_j, (9,), x),
+             (spherical_bessel_j_prime, (9,), x),
+             (spherical_bessel_ratio, (9, 4), x),
+             (assoc_legendre, (0, 0), u), (assoc_legendre, (9, 4), u),
+             (assoc_legendre, (9, -4), u), (assoc_legendre, (170, 30), u)]
+    for fn, args, arr in calls:
+        before = arr.copy()
+        fn(*args, arr)
+        assert np.array_equal(arr, before), (fn.__name__, args)

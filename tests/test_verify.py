@@ -86,6 +86,25 @@ class TestCheckIdentity:
         assert rep.oracle_converged
 
 
+    def test_raising_closed_form_is_a_failed_case(self):
+        # P_167^156(cos alpha) passes the double range although I does not
+        # (mpmath: -2.51e192); the case fails with the reason, not the sweep
+        rep = check_identity(IntegralParams(167, 156, 2.039, 19.22))
+        assert not rep.passed and not rep.oracle_converged
+        assert rep.closed is rep.oracle is rep.abs_err is rep.rel_err is None
+        assert rep.reason == ("closed form: P_n^m overflows double "
+                              "precision for n=167, m=156")
+
+    def test_raising_oracle_is_a_failed_case(self):
+        # The closed form fits (|I| ~ 1.7e146); the oracle's integrand
+        # evaluates P_170^169 near u = 0, which does not.
+        rep = check_identity(IntegralParams(170, 169, 2.6056, 14.61))
+        assert not rep.passed and not rep.oracle_converged
+        assert math.isfinite(abs(rep.closed)) and rep.oracle is None
+        assert rep.abs_err is None and rep.rel_err is None
+        assert rep.reason.startswith("oracle: P_n^m overflows")
+
+
 class TestSweepRandom:
     def test_deterministic_and_scheduling_independent(self):
         cfg = SweepConfig(seed=7, cases=24)
@@ -107,6 +126,17 @@ class TestSweepRandom:
         rep = sweep_random(cfg, workers=1)
         assert len(rep.failures) >= 1
         assert all(not r.passed for r in rep.failures)
+
+
+    def test_raising_case_does_not_abort_the_sweep(self):
+        # seed 11 draws (167, 156, 2.039, 19.22) as its fifth case
+        cfg = SweepConfig(seed=11, cases=5, n_max=170, R_max=50.0)
+        assert draw_cases(cfg)[-1].n == 167
+        rep = sweep_random(cfg, workers=1)
+        assert rep.total == 5
+        assert any(f.reason and f.reason.startswith("closed form:")
+                   for f in rep.failures)
+        assert math.isfinite(rep.max_abs_err)
 
 
 class TestRecurrences:
