@@ -75,8 +75,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CaseReport:
-    """One case of a sweep.  A side that raised leaves its value and both
-    errors None, and ``reason`` names the side and its message."""
+    """One case of a sweep.
+
+    A side that raised leaves its value and both errors None, and
+    ``reason`` names the side and its message.
+    """
 
     params: IntegralParams
     closed: complex | None
