@@ -11,6 +11,7 @@ from .kernel import (
     IntegralParams,
     closed_form_dI_dR,
     closed_form_I,
+    closed_form_row,
     i00_series_partial,
     i_phase,
     lock_closed_form,
@@ -65,6 +66,7 @@ __all__ = [
     "factorial_ratio",
     "i_phase",
     "closed_form_I",
+    "closed_form_row",
     "closed_form_dI_dR",
     "lock_closed_form",
     "poisson_closed_form",

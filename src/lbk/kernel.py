@@ -7,6 +7,11 @@ holds that closed form, its R-derivative, the on-axis (Lock) integral, the
 exponential-weight moment closed form, and the argument-rescaling series
 partial sums used to connect the n = m = 0 case back to 2 j_0(R).
 
+The closed form separates: its radial factor j_n(R) depends on the degree
+alone.  ``closed_form_row`` evaluates it once for a list of orders at one
+(n, alpha, R), each order with its own P_n^m(cos alpha), and
+``closed_form_I`` is its one-order case, so both give the same bits.
+
 All phases are exact quarter-turn lookups; no trigonometric rounding enters
 the unit factor i^k.
 """
@@ -67,11 +72,23 @@ def i_phase(k):
     return _I_POWERS[k % 4]
 
 
+def closed_form_row(n, ms, alpha, R):
+    """Closed form 2 i^{n-m} P_n^m(cos alpha) j_n(R) for each order m in ms.
+
+    One degree n, tilt alpha and radius R, with the ranges of
+    ``IntegralParams``; j_n(R) and cos(alpha) are evaluated once and
+    P_n^m(cos alpha) once per order.  Returns a list in the order of ``ms``.
+    Raises OverflowError where a P_n^m leaves the double range, as
+    ``closed_form_I`` does.
+    """
+    x = math.cos(alpha)
+    j = spherical_bessel_j(n, R)
+    return [2.0 * i_phase(n - m) * assoc_legendre(n, m, x) * j for m in ms]
+
+
 def closed_form_I(p):
     """Closed form 2 i^{n-m} P_n^m(cos alpha) j_n(R) of the main integral."""
-    return (2.0 * i_phase(p.n - p.m)
-            * assoc_legendre(p.n, p.m, math.cos(p.alpha))
-            * spherical_bessel_j(p.n, p.R))
+    return closed_form_row(p.n, (p.m,), p.alpha, p.R)[0]
 
 
 def closed_form_dI_dR(p):

@@ -16,7 +16,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import NamedTuple
@@ -188,6 +187,10 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
         # Built once here, the rule reaches every forked worker in its
         # cache instead of being rebuilt by each.
         _gk_rule(spec.nodes_per_panel, np.float64)
+        # Imported here: it loads multiprocessing, which nothing else in
+        # eval, quad or table needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             reports = list(pool.map(run, cases, chunksize=chunk))
     else:

@@ -1,16 +1,23 @@
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lbk.cli
 import lbk.oracle
 from lbk.cli import main, render_json
-from lbk.oracle import QuadratureSpec
+from lbk.kernel import IntegralParams, closed_form_I
+from lbk.oracle import QuadratureSpec, QuadResult
 from lbk.verify import SweepConfig
 
 PI = math.pi
@@ -345,6 +352,132 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert err.startswith("invalid input:")
+
+
+def _table_records(argv):
+    # Records of a successful table call as {column: rendered text}, from
+    # JSON or CSV alike; the text keeps -0 and all 17 digits.
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    out = buf.getvalue()
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        return list(csv.DictReader(io.StringIO(out)))
+    return json.loads(out, parse_int=str, parse_float=str)
+
+
+class TestTableRows:
+    """``table`` evaluates one closed-form row per degree and radius."""
+
+    @given(n_max=st.integers(0, 40), alpha=st.floats(0.0, PI),
+           fmt=st.sampled_from(["json", "csv"]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_records_are_the_per_entry_closed_form(self, n_max, alpha, fmt,
+                                                   data):
+        # Radii on both sides of every degree, plus R = 0; every value
+        # equals closed_form_I's, bit for bit and signed zeros included.
+        Rs = data.draw(st.lists(st.floats(0.0, 2.0 * n_max + 2.0),
+                                min_size=1, max_size=3)) + [0.0]
+        m = data.draw(st.none() | st.integers(-n_max, n_max))
+        argv = ["table", "--n-max", str(n_max), "--alpha", repr(alpha),
+                "--format", fmt]
+        argv += ["--all-m"] if m is None else ["--m", str(m)]
+        for R in Rs:
+            argv += ["--R", repr(R)]
+        records = _table_records(argv)
+        want = [IntegralParams(n, k, alpha, R) for n in range(n_max + 1)
+                for k in (range(-n, n + 1) if m is None else [m])
+                if abs(k) <= n for R in Rs]
+        assert [(int(r["n"]), int(r["m"]), float(r["R"])) for r in records] \
+            == [(p.n, p.m, p.R) for p in want]
+        for rec, p in zip(records, want):
+            value = closed_form_I(p)
+            assert float(rec["re"]).hex() == value.real.hex()
+            assert float(rec["im"]).hex() == value.imag.hex()
+
+    @pytest.mark.parametrize("argv, loops", [
+        # 41 degrees x 2 radii; one loop per entry would be 1681 x 2.
+        (["--n-max", "40", "--all-m", "--R", "3", "--R", "45"], 82),
+        # Degrees 4..30 only: a degree with no valid order evaluates nothing.
+        (["--n-max", "30", "--m", "4", "--R", "3"], 27),
+    ])
+    def test_one_spherical_loop_per_degree_and_radius(self, capsys,
+                                                      loop_calls, argv,
+                                                      loops):
+        code, _, _ = run(capsys, ["table"] + argv)
+        assert code == 0
+        assert loop_calls["_backward"] + loop_calls["_upward"] == loops
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--alpha", "1.0", "--R", "2.0", "--R", "inf"],
+         "R must be finite and non-negative (got inf)"),
+        (["--alpha", "1.0", "--R", "-1.0"],
+         "R must be finite and non-negative (got -1.0)"),
+        (["--alpha", "4.0", "--R", "2.0"],
+         "alpha must lie in [0, pi] (got 4.0)"),
+        (["--n-max", "175", "--m", "-172", "--alpha", "1.0", "--R", "2.0"],
+         "degree above cap 170 (got n=175)"),
+        (["--method", "quad", "--alpha", "1.0", "--R", "1e300"],
+         "quadrature needs more than 2097152 nodes per pass (R, base_panels "
+         "or nodes_per_panel too large)"),
+        (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
+         "P_n^m overflows double precision for n=170, m=170"),
+        (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
+          "--method", "quad"],
+         "P_n^m overflows double precision for n=170, m=170"),
+        # The first failing entry in record order: every radius of a failing
+        # row is evaluated entry by entry.
+        (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "5"],
+         "P_n^m overflows double precision for n=156, m=153"),
+        (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "5",
+          "--R", "0"],
+         "P_n^m overflows double precision for n=156, m=153"),
+    ])
+    def test_exit_2_reports_the_first_failing_entry(self, capsys, flags, err):
+        code, out, got = run(capsys, ["table", "--n-max", "1"] + flags)
+        assert (code, out, got) == (2, "", f"invalid input: {err}\n")
+
+    def test_compare_fails_at_the_first_failing_entry(self, capsys,
+                                                      monkeypatch):
+        # A stand-in oracle keeps the 2.4e4 entries fast; its calls show
+        # that every entry before the failing one ran both methods.
+        seen = []
+
+        def oracle(p, spec):
+            seen.append((p.n, p.m, p.R))
+            return QuadResult(0j, 0.0, 8, True)
+
+        monkeypatch.setattr(lbk.cli, "integrate_I", oracle)
+        code, out, err = run(capsys, ["table", "--n-max", "170", "--all-m",
+                                      "--alpha", "1.0", "--R", "5",
+                                      "--compare"])
+        assert (code, out) == (2, "")
+        assert err == ("invalid input: P_n^m overflows double precision for "
+                       "n=156, m=153\n")
+        assert seen[-1] == (156, 152, 5.0)
+        assert len(seen) == 156 ** 2 + len(range(-156, 153))
+
+
+def test_table_and_import_leave_the_process_pool_unloaded():
+    # Only a pooled sweep imports concurrent.futures.process, and with it
+    # multiprocessing; eval, quad and table processes skip that import.
+    script = """
+import contextlib, io, sys
+import lbk.cli
+from lbk.verify import SweepConfig, sweep_random
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lbk.cli.main(["table", "--n-max", "2", "--all-m"])
+pool = ("multiprocessing", "concurrent.futures.process")
+print(code, [name for name in pool if name in sys.modules])
+report = sweep_random(SweepConfig(seed=1, cases=9), workers=2)
+print(report.total, len(report.failures), [name for name in pool if name in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, LBK_WORKERS="2"),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0 []", "9 0 ['multiprocessing', 'concurrent.futures.process']"]
 
 
 class TestCsvMatchesJson:

@@ -10,13 +10,14 @@ from lbk.kernel import (
     IntegralParams,
     closed_form_dI_dR,
     closed_form_I,
+    closed_form_row,
     i00_series_partial,
     i_phase,
     lock_closed_form,
     mult_theorem_partial,
     poisson_closed_form,
 )
-from lbk.specfun import factorial_ratio, spherical_bessel_j
+from lbk.specfun import assoc_legendre, factorial_ratio, spherical_bessel_j
 
 FOUR_OVER_PI = 1.2732395447351628
 
@@ -117,6 +118,35 @@ class TestClosedFormI:
             vals = {closed_form_I(IntegralParams(0, 0, a, R))
                     for a in (0.1, 0.9, 1.7, 3.0)}
             assert len(vals) == 1
+
+
+class TestClosedFormRow:
+    @given(st.integers(0, 170), st.data(), st.floats(0.0, math.pi),
+           st.floats(0.0, 1e4))
+    @settings(max_examples=200, deadline=None)
+    def test_each_order_is_closed_form_I(self, n, data, alpha, R):
+        # Reference: the closed form written out per order, one P_n^m and
+        # one j_n(R) each.  A row keeps every value's bits, signed zeros
+        # included, and raises where an order raises.
+        ms = data.draw(st.lists(st.integers(-n, n), min_size=1, max_size=4))
+        x = math.cos(alpha)
+
+        def entry(m):
+            return (2.0 * i_phase(n - m) * assoc_legendre(n, m, x)
+                    * spherical_bessel_j(n, R))
+
+        try:
+            want = [entry(m) for m in ms]
+        except OverflowError as exc:
+            with pytest.raises(OverflowError) as raised:
+                closed_form_row(n, ms, alpha, R)
+            assert str(raised.value) == str(exc)
+            return
+        got = closed_form_row(n, ms, alpha, R)
+        single = [closed_form_I(IntegralParams(n, m, alpha, R)) for m in ms]
+        for values in (got, single):
+            assert [(v.real.hex(), v.imag.hex()) for v in values] \
+                == [(w.real.hex(), w.imag.hex()) for w in want]
 
 
 class TestClosedFormDIdR:
