@@ -216,16 +216,6 @@ def cmd_bench(args):
     return 0
 
 
-def _closed_row(n, ms, alpha, R):
-    # The closed forms of one degree and radius, or None where an order
-    # raises: then each entry of the row is evaluated on its own, so the
-    # first entry to fail, in record order, reports.
-    try:
-        return closed_form_row(n, ms, alpha, R)
-    except (ValueError, OverflowError):
-        return None
-
-
 def cmd_table(args):
     Rs = args.R if args.R else [1.0]
     # The top degree stands in for every row: it checks n-max, alpha and R.
@@ -238,22 +228,21 @@ def cmd_table(args):
 
     records = []
     unconverged = False
-    want_closed = args.method == "closed" or args.compare
     for n in range(args.n_max + 1):
         ms = [m for m in (range(-n, n + 1) if args.m is None else [args.m])
               if abs(m) <= n]
         if not ms:
             continue
         # One closed-form row per radius shares j_n(R) across the orders.
-        rows = [_closed_row(n, ms, args.alpha, R) if want_closed else None
-                for R in Rs]
-        for i, m in enumerate(ms):
+        # Each is stepped once per entry in record order, so the first
+        # entry to fail reports; a row never stepped evaluates nothing.
+        rows = [closed_form_row(n, ms, args.alpha, R) for R in Rs]
+        for m in ms:
             for R, row in zip(Rs, rows):
                 p = IntegralParams(n, m, args.alpha, R)
                 closed = quad = None
-                if want_closed:
-                    closed = (row[i] if row is not None
-                              else _checked(closed_form_I, p))
+                if args.method == "closed" or args.compare:
+                    closed = _checked(next, row)
                     if closed is None:
                         return 2
                 if args.method == "quad" or args.compare:

@@ -8,9 +8,11 @@ exponential-weight moment closed form, and the argument-rescaling series
 partial sums used to connect the n = m = 0 case back to 2 j_0(R).
 
 The closed form separates: its radial factor j_n(R) depends on the degree
-alone.  ``closed_form_row`` evaluates it once for a list of orders at one
-(n, alpha, R), each order with its own P_n^m(cos alpha), and
-``closed_form_I`` is its one-order case, so both give the same bits.
+alone.  ``closed_form_row`` is an iterator over a list of orders at one
+(n, alpha, R): it evaluates cos(alpha) and j_n(R) on its first step and
+each order's P_n^m(cos alpha) on that order's step, so an order that
+overflows raises where it is taken.  ``closed_form_I`` is the first step
+of a one-order row, so both give the same bits.
 
 All phases are exact quarter-turn lookups; no trigonometric rounding enters
 the unit factor i^k.
@@ -76,19 +78,22 @@ def closed_form_row(n, ms, alpha, R):
     """Closed form 2 i^{n-m} P_n^m(cos alpha) j_n(R) for each order m in ms.
 
     One degree n, tilt alpha and radius R, with the ranges of
-    ``IntegralParams``; j_n(R) and cos(alpha) are evaluated once and
-    P_n^m(cos alpha) once per order.  Returns a list in the order of ``ms``.
-    Raises OverflowError where a P_n^m leaves the double range, as
-    ``closed_form_I`` does.
+    ``IntegralParams``.  A generator over ``ms`` in order: cos(alpha) and
+    j_n(R) are evaluated once, on the first step, and P_n^m(cos alpha) on
+    the step that yields order m, so a row never advanced does no work.
+    The step of an order whose P_n^m leaves the double range raises
+    OverflowError, as ``closed_form_I`` does; every order before it has
+    been yielded.
     """
     x = math.cos(alpha)
     j = spherical_bessel_j(n, R)
-    return [2.0 * i_phase(n - m) * assoc_legendre(n, m, x) * j for m in ms]
+    for m in ms:
+        yield 2.0 * i_phase(n - m) * assoc_legendre(n, m, x) * j
 
 
 def closed_form_I(p):
     """Closed form 2 i^{n-m} P_n^m(cos alpha) j_n(R) of the main integral."""
-    return closed_form_row(p.n, (p.m,), p.alpha, p.R)[0]
+    return next(closed_form_row(p.n, (p.m,), p.alpha, p.R))
 
 
 def closed_form_dI_dR(p):

@@ -45,6 +45,7 @@ precision (np.longdouble, with the rule's nodes Newton-refined in it)
 where the platform provides it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,6 @@ MAX_NODES_PER_PANEL = 1024
 # 8 eps within 5 steps in double (2 from double to longdouble) for every
 # N <= MAX_NODES_PER_PANEL; the cap only bounds the loop.
 _NEWTON_STEPS = 20
-
-_gk_cache = {}
 
 
 @dataclass(frozen=True)
@@ -204,18 +203,15 @@ def _newton(step, x):
     return x
 
 
+@functools.cache
 def _gk_rule(n, dtype):
     """The (2n + 1)-point Gauss-Kronrod rule on [-1, 1] in ``dtype``.
 
     Returns the ascending nodes and a (2, 2n + 1) weight array: the
     Kronrod weights, then the weights of the embedded n-point Gauss rule,
-    whose nodes are the odd-indexed ones (zero weight elsewhere).
+    whose nodes are the odd-indexed ones (zero weight elsewhere).  Cached
+    per (n, dtype) for the life of the process.
     """
-    key = (n, np.dtype(dtype))
-    try:
-        return _gk_cache[key]
-    except KeyError:
-        pass
     a, b = _kronrod_jacobi(n, dtype)
     # The top degree 2n + 1 only needs its zeros, so its scale is free.
     rb = np.append(np.sqrt(b), 1.0)
@@ -249,7 +245,6 @@ def _gk_rule(n, dtype):
     weights = np.zeros((2, 2 * n + 1), dtype=dtype)
     weights[0] = 1.0 / _recurrence(nodes, a, rb, 2 * n + 1)[2]
     weights[1, 1::2] = 1.0 / _recurrence(gauss, a, rb, n)[2]
-    _gk_cache[key] = (nodes, weights)
     return nodes, weights
 
 

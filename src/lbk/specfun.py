@@ -313,9 +313,11 @@ def _backward(lo, hi, x, shift):
         a, b = 1.0, xmax * xmax
     else:
         a, b = 1.0 / float(x.min()), 1.0
-    # A single point steps as numpy scalars, which rebind and step faster;
-    # arrays step in place through three buffers.  Both give the same bits.
-    scalar = x.size == 1
+    # A single point of the spherical loop (one j_n(R)) steps as numpy
+    # scalars, which rebind and step faster.  Arrays, and the cylindrical
+    # loop, whose callers pass node arrays, step in place through three
+    # buffers.  Both give the same bits.
+    scalar = shift and x.size == 1
     if scalar:
         x = x.reshape(())[()]
         fk, fkp1 = x.dtype.type(1e-30), x.dtype.type(0.0)
@@ -334,10 +336,8 @@ def _backward(lo, hi, x, shift):
     bk, bkp1 = 1e-30, 0.0
     for k in range(start, 0, -1):
         # 2k/x is rounded once per step, for the reason given in _upward
-        if scalar and shift:
+        if scalar:
             nxt = (2.0 * k + 1.0) * fk - x2 * fkp1
-        elif scalar:
-            nxt = 2.0 * k / x * fk - fkp1
         else:
             nxt = spare
             if shift:

@@ -278,10 +278,14 @@ _ALPHA_GRID = tuple(np.linspace(0.1, math.pi - 0.1, 19))
 _BESSEL_X_GRID = (0.5, 1.0, 2.0, 5.0, 12.0, 25.0, 50.0, 100.0)
 
 
-def _legendre_ext(n, m, x):
-    if abs(m) > n or n < 0:
-        return np.zeros_like(x)
-    return assoc_legendre(n, m, x)
+def _legendre_table(top, lowest, x):
+    # P_k^j(x) for 0 <= k <= top and lowest <= j <= k, one public call each,
+    # as a lookup (k, j) -> values.  The family extends by zero where
+    # |j| > k; an order inside the range but outside the table raises.
+    zero = np.zeros_like(x)
+    table = {(k, j): assoc_legendre(k, j, x) for k in range(top + 1)
+             for j in range(max(lowest, -k), k + 1)}
+    return lambda k, j: zero if abs(j) > k else table[k, j]
 
 
 def check_specfun_recurrences(n_max=30, x_grid=None, alpha_grid=None,
@@ -292,6 +296,8 @@ def check_specfun_recurrences(n_max=30, x_grid=None, alpha_grid=None,
     order against sqrt(1-x^2)), the alpha-form Legendre pair (2m/sin(alpha)
     against the degree-(n+1) and degree-(n-1) combinations), the cylindrical
     Bessel three-term relation and the spherical Bessel three-term relation.
+    Every value is its own public call, made once per grid: values from one
+    recurrence band would check the recurrence against itself.
     """
     if n_max < 2:
         raise ValueError(f"require n_max >= 2 (got {n_max})")
@@ -306,39 +312,37 @@ def check_specfun_recurrences(n_max=30, x_grid=None, alpha_grid=None,
     sx = np.sqrt((1.0 - x) * (1.0 + x))
     ca = np.cos(alphas)
     sa = np.sin(alphas)
+    P = _legendre_table(n_max + 1, -1, x)
+    Pa = _legendre_table(n_max + 1, 0, ca)
     for n in range(1, n_max + 1):
         for m in range(0, n + 1):
-            lhs = (2.0 * n + 1.0) * sx * assoc_legendre(n, m, x)
+            lhs = (2.0 * n + 1.0) * sx * P(n, m)
             res_degree = max(res_degree, _residual(
-                lhs, (_legendre_ext(n - 1, m + 1, x),
-                      -_legendre_ext(n + 1, m + 1, x))))
+                lhs, (P(n - 1, m + 1), -P(n + 1, m + 1))))
             res_degree = max(res_degree, _residual(
-                lhs, ((n - m + 1.0) * (n - m + 2.0) * _legendre_ext(n + 1, m - 1, x),
-                      -(n + m) * (n + m - 1.0) * _legendre_ext(n - 1, m - 1, x))))
+                lhs, ((n - m + 1.0) * (n - m + 2.0) * P(n + 1, m - 1),
+                      -(n + m) * (n + m - 1.0) * P(n - 1, m - 1))))
             if m >= 1:
-                lhs_a = 2.0 * m / sa * assoc_legendre(n, m, ca)
+                lhs_a = 2.0 * m / sa * Pa(n, m)
                 res_alpha = max(res_alpha, _residual(
-                    lhs_a, (-(n - m + 1.0) * (n - m + 2.0)
-                            * _legendre_ext(n + 1, m - 1, ca),
-                            -_legendre_ext(n + 1, m + 1, ca))))
+                    lhs_a, (-(n - m + 1.0) * (n - m + 2.0) * Pa(n + 1, m - 1),
+                            -Pa(n + 1, m + 1))))
                 res_alpha = max(res_alpha, _residual(
-                    lhs_a, (-(n + m) * (n + m - 1.0)
-                            * _legendre_ext(n - 1, m - 1, ca),
-                            -_legendre_ext(n - 1, m + 1, ca))))
+                    lhs_a, (-(n + m) * (n + m - 1.0) * Pa(n - 1, m - 1),
+                            -Pa(n - 1, m + 1))))
 
+    J = [bessel_j(m, bx) for m in range(n_max + 2)]
     res_cyl = 0.0
     for m in range(1, n_max + 1):
-        lhs = bessel_j(m, bx)
         res_cyl = max(res_cyl, _residual(
-            lhs, (bx / (2.0 * m) * bessel_j(m - 1, bx),
-                  bx / (2.0 * m) * bessel_j(m + 1, bx))))
+            J[m], (bx / (2.0 * m) * J[m - 1], bx / (2.0 * m) * J[m + 1])))
 
+    j = [spherical_bessel_j(n, bx) for n in range(n_max + 2)]
     res_sph = 0.0
     for n in range(1, n_max + 1):
-        lhs = spherical_bessel_j(n, bx)
         res_sph = max(res_sph, _residual(
-            lhs, (bx / (2.0 * n + 1.0) * spherical_bessel_j(n - 1, bx),
-                  bx / (2.0 * n + 1.0) * spherical_bessel_j(n + 1, bx))))
+            j[n], (bx / (2.0 * n + 1.0) * j[n - 1],
+                   bx / (2.0 * n + 1.0) * j[n + 1])))
 
     return {
         "legendre_degree": res_degree,

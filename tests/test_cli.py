@@ -353,6 +353,36 @@ class TestTable:
         assert out == ""
         assert err.startswith("invalid input:")
 
+    def test_tolerance_out_of_range_exits_2(self, capsys):
+        code, out, err = run(capsys, ["table", "--n-max", "2", "--alpha",
+                                      "1.0", "--R", "2", "--abs-tol", "2"])
+        assert (code, out, err) == (
+            2, "", "invalid input: tolerances must lie in (0, 1)\n")
+
+    def test_order_above_every_degree_exits_2(self, capsys):
+        code, out, err = run(capsys, ["table", "--n-max", "3", "--m", "5",
+                                      "--alpha", "1.0", "--R", "3"])
+        assert (code, out, err) == (
+            2, "", "invalid input: order must satisfy |m| <= n for some row "
+                   "(got m=5, n-max=3)\n")
+
+    def test_unconverged_quad_prints_records_and_exits_3(self, capsys,
+                                                         monkeypatch):
+        # A stand-in oracle that never converges: every record is still
+        # printed, then the non-convergence line.
+        def oracle(p, spec):
+            return QuadResult(complex(p.n, p.m), 1.0, 8, False)
+
+        monkeypatch.setattr(lbk.cli, "integrate_I", oracle)
+        code, out, err = run(capsys, ["table", "--n-max", "1", "--alpha",
+                                      "1.0", "--R", "2", "--method", "quad"])
+        assert code == 3
+        assert [(r["n"], r["m"], r["re"], r["im"], r["method"])
+                for r in json.loads(out)] == [
+            (0, 0, 0.0, 0.0, "quad"), (1, -1, 1.0, -1.0, "quad"),
+            (1, 0, 1.0, 0.0, "quad"), (1, 1, 1.0, 1.0, "quad")]
+        assert err == "quadrature did not converge within max refinements\n"
+
 
 def _table_records(argv):
     # Records of a successful table call as {column: rendered text}, from

@@ -139,14 +139,28 @@ class TestClosedFormRow:
             want = [entry(m) for m in ms]
         except OverflowError as exc:
             with pytest.raises(OverflowError) as raised:
-                closed_form_row(n, ms, alpha, R)
+                list(closed_form_row(n, ms, alpha, R))
             assert str(raised.value) == str(exc)
             return
-        got = closed_form_row(n, ms, alpha, R)
+        got = list(closed_form_row(n, ms, alpha, R))
         single = [closed_form_I(IntegralParams(n, m, alpha, R)) for m in ms]
         for values in (got, single):
             assert [(v.real.hex(), v.imag.hex()) for v in values] \
                 == [(w.real.hex(), w.imag.hex()) for w in want]
+
+    def test_raises_only_when_the_failing_order_is_taken(self):
+        # P_156^153(cos 1) leaves the double range; the orders before it
+        # come out with closed_form_I's bits, and building the row or
+        # taking them raises nothing.
+        ms = [0, -153, 152, 153, 1]
+        row = closed_form_row(156, ms, 1.0, 5.0)
+        for m in ms[:3]:
+            want = closed_form_I(IntegralParams(156, m, 1.0, 5.0))
+            got = next(row)
+            assert (got.real.hex(), got.imag.hex()) \
+                == (want.real.hex(), want.imag.hex())
+        with pytest.raises(OverflowError, match="n=156, m=153"):
+            next(row)
 
 
 class TestClosedFormDIdR:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import lbk.verify
 from lbk.kernel import IntegralParams
 from lbk.oracle import QuadratureSpec
 from lbk.verify import (
@@ -224,6 +225,25 @@ class TestSpecfunRecurrences:
         with pytest.raises(ValueError):
             check_specfun_recurrences(1)
 
+    def test_one_call_per_distinct_value(self, monkeypatch):
+        # Each P_n^m, J_m and j_n the residuals read is one public call on
+        # its grid: P for 0 <= n <= 31 and -1 <= m <= n on the x grid
+        # (559) and 0 <= m <= n on the alpha grid (528), J_m and j_n for
+        # orders 0..31 on the Bessel grid.
+        calls = {"assoc_legendre": [], "bessel_j": [],
+                 "spherical_bessel_j": []}
+        for name, seen in calls.items():
+            def counted(*args, _fn=getattr(lbk.verify, name), _seen=seen):
+                _seen.append(args[:-1] + (args[-1].tobytes(),))
+                return _fn(*args)
+            monkeypatch.setattr(lbk.verify, name, counted)
+        check_specfun_recurrences(30)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "assoc_legendre": 559 + 528, "bessel_j": 32,
+            "spherical_bessel_j": 32}
+        for seen in calls.values():
+            assert len(set(seen)) == len(seen)
+
 
 class TestMultTheorem:
     def test_default_grid(self):
@@ -234,6 +254,10 @@ class TestMultTheorem:
 
     def test_zero_radius_contributes_nothing(self):
         assert check_mult_theorem(R_grid=(0.0,), alpha_grid=(0.3,), S=5) <= 1e-15
+
+    def test_requires_one_term(self):
+        with pytest.raises(ValueError, match="require S >= 1"):
+            check_mult_theorem(S=0)
 
 
 class TestResolveWorkers:
