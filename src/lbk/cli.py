@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 from .kernel import IntegralParams, closed_form_I, closed_form_row
 from .oracle import QuadratureSpec, integrate_I
@@ -29,14 +30,35 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+@functools.lru_cache(maxsize=256)
+def _str_key(k):
+    return encode_basestring_ascii(k) + ":"
+
+
+def _key(k):
+    # Only str keys are cached: keys that compare equal (1, 1.0, True;
+    # 0.0 and -0.0) print apart.
+    if type(k) is str:
+        return _str_key(k)
+    return encode_basestring_ascii(str(k)) + ":"
+
+
 def render_json(obj):
     """Canonical JSON: insertion-ordered keys, 17-significant-digit floats."""
+    # The exact types of a record first; "%.17g" is _fmt's string for a
+    # float.  Each container joins its own parts once.
+    t = type(obj)
+    if t is float:
+        return "%.17g" % obj
+    if t is int:
+        return str(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        items = ",".join(f"{render_json(str(k))}:{render_json(v)}"
-                         for k, v in obj.items())
-        return "{" + items + "}"
+        return "{" + ",".join([_key(k) + render_json(v)
+                               for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in obj) + "]"
+        return "[" + ",".join([render_json(v) for v in obj]) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -68,8 +90,8 @@ def _emit(args, payload, header, records):
         print(render_csv(header, rows), end="")
 
 
-def _record(p, value, method, abs_err=None):
-    rec = {"n": p.n, "m": p.m, "alpha": p.alpha, "R": p.R,
+def _record(n, m, alpha, R, value, method, abs_err=None):
+    rec = {"n": n, "m": m, "alpha": alpha, "R": R,
            "re": value.real, "im": value.imag, "method": method}
     if abs_err is not None:
         rec["abs_err"] = abs_err
@@ -104,7 +126,7 @@ def cmd_eval(args):
     value = _checked(closed_form_I, p)
     if value is None:
         return 2
-    rec = _record(p, value, "closed")
+    rec = _record(p.n, p.m, p.alpha, p.R, value, "closed")
     _emit(args, rec, _RECORD_HEADER, [rec])
     return 0
 
@@ -119,7 +141,7 @@ def cmd_quad(args):
     result = _checked(integrate_I, p, spec)
     if result is None:
         return 2
-    rec = _record(p, result.value, "quad")
+    rec = _record(p.n, p.m, p.alpha, p.R, result.value, "quad")
     rec["est_error"] = result.est_error
     rec["panels"] = result.panels_used
     rec["converged"] = result.converged
@@ -239,13 +261,13 @@ def cmd_table(args):
         rows = [closed_form_row(n, ms, args.alpha, R) for R in Rs]
         for m in ms:
             for R, row in zip(Rs, rows):
-                p = IntegralParams(n, m, args.alpha, R)
                 closed = quad = None
                 if args.method == "closed" or args.compare:
                     closed = _checked(next, row)
                     if closed is None:
                         return 2
                 if args.method == "quad" or args.compare:
+                    p = IntegralParams(n, m, args.alpha, R)
                     result = _checked(integrate_I, p, spec)
                     if result is None:
                         return 2
@@ -253,7 +275,8 @@ def cmd_table(args):
                     unconverged = unconverged or not result.converged
                 shown = closed if args.method == "closed" else quad
                 abs_err = abs(closed - quad) if args.compare else None
-                records.append(_record(p, shown, args.method, abs_err))
+                records.append(_record(n, m, args.alpha, R, shown,
+                                       args.method, abs_err))
     if args.m is not None and not records:
         print(f"invalid input: order must satisfy |m| <= n for some row "
               f"(got m={args.m}, n-max={args.n_max})", file=sys.stderr)

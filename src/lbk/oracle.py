@@ -80,6 +80,12 @@ MAX_NODES_PER_PANEL = 1024
 _NEWTON_STEPS = 20
 
 
+def _check_tolerances(abs_tol, rel_tol):
+    # Shared with verify.SweepConfig.
+    if not 0.0 < abs_tol < 1.0 or not 0.0 < rel_tol < 1.0:
+        raise ValueError("tolerances must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Panel counts, node order and stopping tolerances for the oracle.
@@ -110,8 +116,7 @@ class QuadratureSpec:
         if self.nodes_per_panel > MAX_NODES_PER_PANEL:
             raise ValueError(
                 f"nodes_per_panel must be <= {MAX_NODES_PER_PANEL}")
-        if not 0.0 < self.abs_tol < 1.0 or not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("tolerances must lie in (0, 1)")
+        _check_tolerances(self.abs_tol, self.rel_tol)
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
 

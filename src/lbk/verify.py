@@ -29,7 +29,13 @@ from .kernel import (
     i00_series_partial,
     mult_theorem_partial,
 )
-from .oracle import QuadratureSpec, _gk_rule, integrate_dI_dR, integrate_I
+from .oracle import (
+    QuadratureSpec,
+    _check_tolerances,
+    _gk_rule,
+    integrate_dI_dR,
+    integrate_I,
+)
 from .specfun import (
     FACTORIAL_N_CAP,
     assoc_legendre,
@@ -49,7 +55,7 @@ SWEEP_ORACLE_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Seeded sweep domain and pass tolerances."""
+    """Seeded sweep domain and pass tolerances, each in (0, 1)."""
 
     seed: int
     cases: int
@@ -70,6 +76,7 @@ class SweepConfig:
         if not 0.0 < self.alpha_margin < math.pi / 2.0:
             raise ValueError(
                 f"alpha_margin must lie in (0, pi/2) (got {self.alpha_margin})")
+        _check_tolerances(self.abs_tol, self.rel_tol)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,6 +239,17 @@ class TestVerify:
         assert reasons[(170, 169)].startswith("oracle: P_n^m overflows")
         assert "nan" not in out.lower() and "inf" not in out.lower()
 
+    @pytest.mark.parametrize("flags", [
+        ["--abs-tol", "inf"], ["--rel-tol", "2"], ["--abs-tol", "nan"],
+        ["--abs-tol", "-1"],
+    ])
+    def test_tolerance_outside_unit_interval_exit_2(self, capsys, flags):
+        # A tolerance of inf or 2 passes every case, and nan or -1 would
+        # switch the absolute test off; each is rejected before any case runs.
+        code, out, err = run(capsys, ["verify", "--cases", "2"] + flags)
+        assert (code, out, err) == (
+            2, "", "invalid input: tolerances must lie in (0, 1)\n")
+
     def test_invalid_workers_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("LBK_WORKERS", "-3")
         code, _, err = run(capsys, ["verify", "--cases", "2"])
@@ -455,8 +467,8 @@ class TestTableRows:
         (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
           "--method", "quad"],
          "P_n^m overflows double precision for n=170, m=170"),
-        # The first failing entry in record order: every radius of a failing
-        # row is evaluated entry by entry.
+        # The first failing entry in record order: one row per radius,
+        # stepped entry by entry.
         (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "5"],
          "P_n^m overflows double precision for n=156, m=153"),
         (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "5",
@@ -552,6 +564,95 @@ class TestCsvMatchesJson:
             assert row == want
         if argv[0] == "verify":
             assert header == list(payload)
+
+
+def reference_render_json(obj):
+    # The recursive renderer that render_json replaced, kept as the
+    # definition of the canonical bytes.
+    if isinstance(obj, dict):
+        items = ",".join(f"{reference_render_json(str(k))}:"
+                         f"{reference_render_json(v)}" for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_render_json(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if obj is None:
+        return "null"
+    return json.dumps(obj)
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                1e308, 1.7976931348623157e308, 0.1, 1 / 3]
+_LEAVES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(), st.booleans(), st.none(),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(["n", "re", "method", "ñ", "α", "\u2603", '"', "\\", "\n"]),
+)
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["n", "m", "R", "α"]),
+                  st.integers(), st.booleans(), st.sampled_from(_EDGE_FLOATS))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=5)),
+    max_leaves=30)
+
+
+def _unrendered_records(monkeypatch, argv):
+    # The records cmd_table hands to the renderer, captured unrendered.
+    seen = []
+    monkeypatch.setattr(lbk.cli, "_emit",
+                        lambda args, payload, header, records:
+                        seen.append(payload))
+    assert main(argv) == 0
+    return seen[0]
+
+
+class TestCanonicalWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_reference_renderer(self, payload):
+        assert render_json(payload) == reference_render_json(payload)
+
+    def test_equal_keys_of_other_types_print_apart(self):
+        payload = [{"1": 0}, {1: 0}, {True: 0}, {1.0: 0}, {0.0: 0}, {-0.0: 0}]
+        assert render_json(payload) == reference_render_json(payload) == (
+            '[{"1":0},{"1":0},{"True":0},{"1.0":0},{"0.0":0},{"-0.0":0}]')
+
+    def test_table_records_match_reference(self, monkeypatch):
+        records = _unrendered_records(monkeypatch, [
+            "table", "--n-max", "12", "--all-m", "--alpha", "0.3",
+            "--R", "3", "--R", "40"])
+        assert len(records) == 2 * 13 ** 2
+        assert render_json(records) == reference_render_json(records)
+
+    def test_peak_memory_stays_at_reference(self, monkeypatch):
+        # Each container joins its own parts, as the reference does; one
+        # parts list for the whole output peaks at ~2.4x.
+        import tracemalloc
+
+        records = _unrendered_records(monkeypatch, [
+            "table", "--n-max", "40", "--all-m", "--alpha", "1.1",
+            "--R", "23"])
+        assert len(records) == 41 ** 2
+        render_json(records)  # fills the key cache outside the measurement
+        peaks = {}
+        for name, fn in (("reference", reference_render_json),
+                         ("writer", render_json)):
+            tracemalloc.start()
+            text = fn(records)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del text
+        assert peaks["writer"] <= 1.1 * peaks["reference"]
 
 
 class TestRendering:

@@ -25,6 +25,9 @@ class TestSweepConfig:
     @pytest.mark.parametrize("kwargs", [
         {"cases": 0}, {"n_max": -1}, {"R_max": 0.0},
         {"alpha_margin": 0.0}, {"alpha_margin": 2.0},
+        {"abs_tol": math.inf}, {"abs_tol": math.nan}, {"abs_tol": -1.0},
+        {"abs_tol": 0.0}, {"abs_tol": 1.0}, {"rel_tol": 2.0},
+        {"rel_tol": math.nan}, {"rel_tol": 0.0},
     ])
     def test_invalid(self, kwargs):
         base = {"seed": 1, "cases": 5}
