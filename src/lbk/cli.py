@@ -291,6 +291,10 @@ def cmd_table(args):
 
 def _add_shared(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_tolerances(sub):
+    # Only the subcommands that run the oracle read tolerances.
     sub.add_argument("--abs-tol", dest="abs_tol", type=float)
     sub.add_argument("--rel-tol", dest="rel_tol", type=float)
 
@@ -319,6 +323,7 @@ def build_parser():
     p_quad = subs.add_parser("quad", help="quadrature evaluation")
     _add_point(p_quad)
     _add_shared(p_quad)
+    _add_tolerances(p_quad)
     p_quad.add_argument("--base-panels", dest="base_panels", type=int)
     p_quad.add_argument("--nodes-per-panel", dest="nodes_per_panel", type=int)
     p_quad.add_argument("--max-refinements", dest="max_refinements", type=int)
@@ -331,6 +336,7 @@ def build_parser():
     p_verify.add_argument("--R-max", dest="R_max", type=float)
     p_verify.add_argument("--alpha-margin", dest="alpha_margin", type=float)
     _add_shared(p_verify)
+    _add_tolerances(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = subs.add_parser("bench",
@@ -355,6 +361,7 @@ def build_parser():
     p_table.add_argument("--compare", action="store_true",
                          help="run both methods and fill abs_err")
     _add_shared(p_table)
+    _add_tolerances(p_table)
     p_table.set_defaults(func=cmd_table)
     return parser
 

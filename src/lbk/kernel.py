@@ -10,9 +10,13 @@ partial sums used to connect the n = m = 0 case back to 2 j_0(R).
 The closed form separates: its radial factor j_n(R) depends on the degree
 alone.  ``closed_form_row`` is an iterator over a list of orders at one
 (n, alpha, R): it evaluates cos(alpha) and j_n(R) on its first step and
-each order's P_n^m(cos alpha) on that order's step, so an order that
-overflows raises where it is taken.  ``closed_form_I`` is the first step
-of a one-order row, so both give the same bits.
+each order's P_n^m(cos alpha) on that order's step, so an order whose
+value overflows raises where it is taken.  ``closed_form_I`` is the first
+step of a one-order row, so both give the same bits.  Every closed form
+meets its factors as mantissas and binary exponents and rounds once: a
+value below the double range comes out subnormal or 0, and only a value
+past it raises OverflowError (for the on-axis integral, n = |m| = 170 at
+R = 1).
 
 All phases are exact quarter-turn lookups; no trigonometric rounding enters
 the unit factor i^k.
@@ -23,11 +27,12 @@ from dataclasses import dataclass
 
 from .specfun import (
     FACTORIAL_N_CAP,
+    _legendre_scaled,
+    _rounded,
     _scaled_factorial_ratio,
     _sph_ratio_scaled,
-    assoc_legendre,
+    assoc_legendre,  # noqa: F401  (bound here for perfbench's tracer)
     spherical_bessel_j,
-    spherical_bessel_j_prime,
 )
 
 # Partial sums accept at most this many terms; coefficients are built by
@@ -38,6 +43,8 @@ SERIES_S_MAX = 200
 MOMENT_S_CAP = 150
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+_OVERFLOW = "{} overflows double precision for n={}, m={}, alpha={}, R={}"
 
 
 @dataclass(frozen=True)
@@ -81,14 +88,17 @@ def closed_form_row(n, ms, alpha, R):
     ``IntegralParams``.  A generator over ``ms`` in order: cos(alpha) and
     j_n(R) are evaluated once, on the first step, and P_n^m(cos alpha) on
     the step that yields order m, so a row never advanced does no work.
-    The step of an order whose P_n^m leaves the double range raises
+    The step of an order whose value leaves the double range raises
     OverflowError, as ``closed_form_I`` does; every order before it has
     been yielded.
     """
     x = math.cos(alpha)
-    j = spherical_bessel_j(n, R)
+    j, e_j, _ = _sph_ratio_scaled(n, 0, R)
+    j, e_j = float(j), int(e_j)
     for m in ms:
-        yield 2.0 * i_phase(n - m) * assoc_legendre(n, m, x) * j
+        p, e, _ = _legendre_scaled(n, m, x)
+        yield _rounded(2.0 * i_phase(n - m) * float(p) * j, int(e) + e_j,
+                       _OVERFLOW, "I", n, m, alpha, R)
 
 
 def closed_form_I(p):
@@ -98,9 +108,11 @@ def closed_form_I(p):
 
 def closed_form_dI_dR(p):
     """R-derivative of the closed form: 2 i^{n-m} P_n^m(cos alpha) j_n'(R)."""
-    return (2.0 * i_phase(p.n - p.m)
-            * assoc_legendre(p.n, p.m, math.cos(p.alpha))
-            * spherical_bessel_j_prime(p.n, p.R))
+    leg, e, _ = _legendre_scaled(p.n, p.m, math.cos(p.alpha))
+    d, e_d, _ = _sph_ratio_scaled(p.n, 0, p.R, prime=True)
+    return _rounded(2.0 * i_phase(p.n - p.m) * float(leg) * float(d),
+                    int(e) + int(e_d), _OVERFLOW, "dI/dR", p.n, p.m, p.alpha,
+                    p.R)
 
 
 def _check_lock_args(n, m, R, sign):
@@ -117,20 +129,15 @@ def lock_closed_form(n, m, R, sign):
     """On-axis integral closed form 2 (sign*i)^{n+|m|} (n+|m|)!/(n-|m|)! j_n(R)/R^{|m|}.
 
     Finite at R = 0 through the j_n/R^p limit.  ``sign`` selects the phase
-    of the exponential in the matching integral and must be +1 or -1.  The
-    factorial ratio and j_n/R^{|m|} meet as mantissas and binary exponents
-    and round once: OverflowError only where the value leaves the double
-    range (n = |m| = 170 at R = 1), subnormal or 0 below it.
+    of the exponential in the matching integral and must be +1 or -1.
     """
     _check_lock_args(n, m, R, sign)
     am = abs(m)
     ratio, e = _scaled_factorial_ratio(n, am)
     mant, e_j, _ = _sph_ratio_scaled(n, am, R)
-    try:
-        value = math.ldexp(ratio * float(mant), e + int(e_j) + 1)
-    except OverflowError:
-        raise OverflowError(f"on-axis integral overflows double precision "
-                            f"for n={n}, m={m}, R={R}") from None
+    value = _rounded(ratio * float(mant), e + int(e_j) + 1,
+                     "on-axis integral overflows double precision for n={}, "
+                     "m={}, R={}", n, m, R)
     return i_phase(sign * (n + am)) * value
 
 
@@ -147,14 +154,14 @@ def poisson_closed_form(s, x):
 
     Matches the integral of sin(theta) exp(i x cos(theta)) sin^{2s}(theta);
     finite at x = 0 where it equals 2^{s+1} s!/(2s+1)!!.  Capped at
-    s <= ``MOMENT_S_CAP``.  s! 2^{s+1} and j_s/x^s meet as mantissas and
-    binary exponents and round once; below the double range, subnormal or 0.
+    s <= ``MOMENT_S_CAP``.
     """
     if s > MOMENT_S_CAP:
         raise OverflowError(f"moment index above cap {MOMENT_S_CAP} (got s={s})")
     _check_moment_args(s, x)
     mant, e, _ = _sph_ratio_scaled(s, s, x)
-    return math.ldexp(math.factorial(s) * float(mant), s + 1 + int(e))
+    return _rounded(math.factorial(s) * float(mant), s + 1 + int(e),
+                    "moment overflows double precision for s={}, x={}", s, x)
 
 
 def _check_series_args(R, alpha, S):

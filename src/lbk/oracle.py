@@ -42,7 +42,9 @@ floor eps * integral(|f|) of plain double precision sits above sensible
 tolerances.  The first pass measures that L1 mass; when the floor crowds
 the convergence target, the refinement reruns the integral in extended
 precision (np.longdouble, with the rule's nodes Newton-refined in it)
-where the platform provides it.
+where the platform provides it.  Near the floor an estimate under the
+target can be luck, so a pass whose floor crowds the target is accepted
+only where its value also agrees with the layout of half its panels.
 """
 
 import functools
@@ -58,9 +60,15 @@ _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LONG = float(np.finfo(np.longdouble).eps)
 _HAS_EXTENDED = _EPS_LONG < _EPS64
 
-# Escalate to extended precision when the double-precision rounding floor
-# eps * integral(|f|) exceeds this fraction of the convergence target.
-_NOISE_GUARD = 4.0
+# A pass's rounding floor is eps * integral(|f|) in its precision, and it
+# crowds a figure that _CROWD times the floor exceeds.  A double pass whose
+# floor crowds the target escalates to extended precision, a pass whose
+# floor crowds its own estimate stalls, and a crowded pass (escalated, or
+# its floor crowding the target) is accepted only where its value agrees
+# with the other layout.  On 1000 held-out cases over n <= 170, one stayed
+# converged but wrong at 4; none did at 8 or 16, and no more right cases
+# became unconverged.
+_CROWD = 8.0
 
 # Most nodes one pass's layout may hold, (2N+1) P for P panels, counted in
 # full although a pass evaluates only the u >= 0 half: 8 MB per float64
@@ -316,21 +324,33 @@ def _refine(pair, imaginary, spec, auto_panels):
         value = complex(0.0, kronrod) if imaginary else complex(kronrod)
         return value, float(abs(kronrod - gauss)), l1
 
-    dtype = np.float64
-    value, est, l1 = run(panels, dtype)
-    if (_HAS_EXTENDED and _NOISE_GUARD * _EPS64 * l1
-            > max(spec.abs_tol, spec.rel_tol * abs(value))):
-        dtype = np.longdouble
+    def target(value):
+        return max(spec.abs_tol, spec.rel_tol * abs(value))
+
+    def crowds(l1, eps, figure):
+        return _CROWD * eps * l1 > figure
+
+    value, est, l1 = run(panels, np.float64)
+    escalated = _HAS_EXTENDED and crowds(l1, _EPS64, target(value))
+    dtype, eps = ((np.longdouble, _EPS_LONG) if escalated
+                  else (np.float64, _EPS64))
+    if escalated:
         value, est, l1 = run(panels, dtype)
-    eps = _EPS_LONG if dtype is np.longdouble else _EPS64
+    other = None
     for doublings in range(spec.max_refinements + 1):
-        if est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+        tol = target(value)
+        # At the floor a small estimate can be luck, so a crowded pass must
+        # also agree with the other layout (half its panels) within tol.
+        if est <= tol and not ((escalated or crowds(l1, eps, tol)) and (
+                other is None or abs(value - other) > tol)):
             return QuadResult(value, est, panels, True)
-        # More panels cannot reduce an estimate at the rounding floor of
-        # this precision.
-        if (doublings == spec.max_refinements or est <= 2.0 * eps * l1
+        # More panels cannot reduce an estimate at the floor; a pass that
+        # met tol without a layout to compare with runs the next one.
+        stalled = crowds(l1, eps, est) and not (est <= tol and other is None)
+        if (doublings == spec.max_refinements or stalled
                 or 2 * panels * width > MAX_NODES):
             break
+        other = value
         panels *= 2
         value, est, l1 = run(panels, dtype)
     return QuadResult(value, est, panels, False)

@@ -91,6 +91,23 @@ def assoc_legendre(n, m, x):
         does; possible only for m > 0 near the degree cap.  Negative orders
         have |P_n^m| <= 1 and never raise.
     """
+    mant, e, scalar = _legendre_scaled(n, m, x)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(mant, e)
+    if not np.isfinite(out).all():
+        raise OverflowError(
+            f"P_n^m overflows double precision for n={n}, m={m}")
+    return _maybe_scalar(out, scalar)
+
+
+def _legendre_scaled(n, m, x):
+    # P_n^m(x) = mant * 2^e.  Every step of the recurrence stays within 680
+    # < 2^10 times sqrt((k+a)!/(k-a)!) (addition theorem) and, per point,
+    # (1-x^2)^(a/2) (k+a)!/((k-a)! 2^a a!) (DLMF 18.14.4 for P_k^a as a
+    # Gegenbauer C_{k-a}^(a+1/2)), so the seed 2^-e keeps it under 2^1020
+    # and P_a^a normal; e = 0 where the first bound fits.  Negative orders
+    # take A&S 8.2.5, and powers of two scale exactly: wherever the plain
+    # formula stays in the normal range, mant * 2^e is its result bit for bit.
     if n < 0:
         raise ValueError(f"degree must be non-negative (got n={n})")
     if abs(m) > n:
@@ -98,27 +115,21 @@ def assoc_legendre(n, m, x):
     arr, scalar = _as_array(x, "assoc_legendre")
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("argument must lie in [-1, 1]")
+    a = abs(m)
+    bound = (math.lgamma(n + a + 1) - math.lgamma(n - a + 1)) / math.log(4.0)
+    e, seed = 0, 1.0
+    if bound > 1010.0:
+        with np.errstate(divide="ignore"):  # log 0 = -inf at x = +-1
+            near = (2.0 * bound - a - math.lgamma(a + 1) / math.log(2.0)
+                    + 0.5 * a * np.log2((1.0 - arr) * (1.0 + arr)))
+        e = np.maximum(np.ceil(np.minimum(near, bound)) - 1010, 0).astype(int)
+        seed = np.ldexp(1.0, -e)
+    mant = _legendre_upward(n, a, arr, seed)
     if m < 0:
-        # P_n^{-a} = (-1)^a (n-a)!/(n+a)! P_n^a (A&S 8.2.5).  The ratio comes
-        # as ratio * 2^e, and half of 2^e divides the seed of P_n^a, so no
-        # factor overflows.  Powers of two scale exactly: wherever the plain
-        # formula fits a double, this is its result bit for bit.
-        ratio, e = _scaled_factorial_ratio(n, -m)
-        scale = (1.0 if m % 2 == 0 else -1.0) / ratio
-        out = scale * _legendre_upward(n, -m, arr, 2.0 ** -(e // 2))
-        return _maybe_scalar(out * 2.0 ** (e // 2 - e), scalar)
-    # |P_k^m| <= sqrt((k+m)!/(k-m)!) (addition theorem) and every step of
-    # the recurrence stays within 680 times that bound at k = n, so only
-    # orders where 680 sqrt((n+m)!/(n-m)!) may pass the double range
-    # (log (n+m)!/(n-m)! > 1400) pay for the finiteness check.
-    if math.lgamma(n + m + 1) - math.lgamma(n - m + 1) > 1400.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _legendre_upward(n, m, arr)
-        if not np.all(np.isfinite(out)):
-            raise OverflowError(
-                f"P_n^m overflows double precision for n={n}, m={m}")
-        return _maybe_scalar(out, scalar)
-    return _maybe_scalar(_legendre_upward(n, m, arr), scalar)
+        ratio, e_ratio = _scaled_factorial_ratio(n, a)
+        mant = (1.0 if a % 2 == 0 else -1.0) / ratio * mant
+        e = e - e_ratio
+    return mant, e, scalar
 
 
 def _legendre_upward(n, m, x, seed=1.0):
@@ -408,16 +419,7 @@ def spherical_bessel_j_prime(n, x):
     x^(-1) x^2 is taken as x.  Like ``spherical_bessel_ratio``, the value
     is a mantissa and a binary exponent until it is rounded once.
     """
-    if n < 0:
-        raise ValueError(f"order must be non-negative (got n={n})")
-    arr, scalar = _nonnegative_array(x)
-    lo = max(n - 1, 0)
-    # Below, the band's rows are y_lo and y_(n+1) x^(n+1-lo), so the
-    # bracket times x^lo is the formula above (-x y_1 at n = 0); above,
-    # they are j_(n-1) and j_(n+1).
-    mant, e, up = _sph_band((lo, n + 1), arr)
-    diff = (n * mant[0] - (n + 1) * mant[-1]) / (2.0 * n + 1.0)
-    mant, e = _times_power(diff, e, arr, np.where(up, 0, lo))
+    mant, e, scalar = _sph_ratio_scaled(n, 0, x, prime=True)
     return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
@@ -436,16 +438,21 @@ def spherical_bessel_ratio(n, p, x):
     return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
-def _sph_ratio_scaled(n, p, x):
-    # j_n(x)/x^p = mant * 2^e, |mant| <= 1.  The kernel's on-axis closed
-    # forms fold their prefactors into this pair before rounding.
+def _sph_ratio_scaled(n, p, x, prime=False):
+    # j_n(x)/x^p, or j_n'(x) where ``prime`` (p = 0), as mant * 2^e with
+    # |mant| <= 1, for the kernel's closed forms to fold into.
     if n < 0:
         raise ValueError(f"order must be non-negative (got n={n})")
     if p < 0 or p > n:
         raise ValueError(f"power must satisfy 0 <= p <= n (got n={n}, p={p})")
     arr, scalar = _nonnegative_array(x)
-    (mant,), e, up = _sph_band((n,), arr)
-    mant, e = _times_power(mant, e, arr, np.where(up, -p, n - p))
+    lo = max(n - 1, 0) if prime else n
+    mant, e, up = _sph_band((lo, n + 1) if prime else (n,), arr)
+    if prime:
+        # Below, the rows are y_lo and y_(n+1) x^(n+1-lo): times x^lo, the
+        # bracket is spherical_bessel_j_prime's formula (-x y_1 at n = 0).
+        mant = [(n * mant[0] - (n + 1) * mant[-1]) / (2.0 * n + 1.0)]
+    mant, e = _times_power(mant[0], e, arr, np.where(up, -p, lo - p))
     return mant, e, scalar
 
 
@@ -518,11 +525,20 @@ def factorial_ratio(n, m):
         raise ValueError(f"require 0 <= |m| <= n (got n={n}, m={m})")
     if n > FACTORIAL_N_CAP:
         raise OverflowError(f"degree above cap {FACTORIAL_N_CAP} (got n={n})")
+    ratio, e = _scaled_factorial_ratio(n, mm)
+    return _rounded(ratio, e, "factorial ratio overflows for n={}, m={}",
+                    n, m)
+
+
+def _rounded(x, e, message, *args):
+    # x * 2^e, float or complex, each part rounded once: subnormal or 0
+    # below the double range, OverflowError(message.format(*args)) past it.
     try:
-        return math.ldexp(*_scaled_factorial_ratio(n, mm))
+        if type(x) is complex:
+            return complex(math.ldexp(x.real, e), math.ldexp(x.imag, e))
+        return math.ldexp(x, e)
     except OverflowError:
-        raise OverflowError(
-            f"factorial ratio overflows for n={n}, m={m}") from None
+        raise OverflowError(message.format(*args)) from None
 
 
 def _scaled_factorial_ratio(n, a):

@@ -64,7 +64,7 @@ class TestEval:
         ["--n", "1", "--m", "0", "--alpha", "1.0", "--R", "nan"],
         ["--n", "171", "--m", "-5", "--alpha", "1.0", "--R", "1.0"],
         ["--n", "200", "--m", "0", "--alpha", "1.0", "--R", "1.0"],
-        ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
+        ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "100"],
     ])
     def test_invalid_inputs_exit_2(self, capsys, flags):
         code, _, err = run(capsys, ["eval"] + flags)
@@ -79,6 +79,16 @@ class TestEval:
         rec = json.loads(out)
         assert rec["re"] == pytest.approx(5.609266957532786e-198,
                                           rel=1e-13, abs=0.0)
+        assert rec["im"] == 0
+
+    def test_value_fits_where_legendre_factor_does_not(self, capsys):
+        # P_170^170(cos 1) ~ 8.5e343 alone leaves the double range, I does
+        # not; mpmath gives I = 6.8234238290424315e103.
+        code, out, err = run(capsys, ["eval", "--n", "170", "--m", "170",
+                                      "--alpha", "1.0", "--R", "5"])
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert rec["re"] == pytest.approx(6.8234238290424315e103, rel=1e-13)
         assert rec["im"] == 0
 
     def test_csv_format(self, capsys):
@@ -144,6 +154,18 @@ class TestQuad:
         assert not rec["converged"] and math.isfinite(rec["est_error"])
         assert "converge" in err
 
+    def test_crowded_floor_exits_3(self, capsys):
+        # The extended pass's estimate is 0 by chance; mpmath gives
+        # I = -50462862179.393180, and the value is off by ~1e49.
+        code, out, err = run(capsys, ["quad", "--n", "138", "--m", "34",
+                                      "--alpha", "2.3882274427897348",
+                                      "--R", "39.34176733928225"])
+        assert code == 3
+        rec = json.loads(out)
+        assert not rec["converged"]
+        assert abs(rec["re"] + 50462862179.393180) > 1e40
+        assert "converge" in err
+
     @pytest.mark.parametrize("flags", [
         # P_170^170(cos 1) ~ 8.5e343 leaves the double range.
         ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
@@ -169,6 +191,20 @@ class TestQuad:
                                   "--alpha", "1.0", "--R", "2.0"])
         assert code == 0
         assert specs == [QuadratureSpec()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "2", "--m", "1", "--alpha", "1", "--R", "2",
+     "--abs-tol", "nan"],
+    ["bench", "--n-max", "0", "--R-max", "1", "--reps", "1",
+     "--abs-tol", "-5"],
+])
+def test_tolerance_flags_only_where_read(capsys, argv):
+    # eval and bench run no oracle, so they take no tolerance flags.
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: lbk")
+    assert "unrecognized arguments: --abs-tol" in err
 
 
 class TestVerify:
@@ -223,9 +259,10 @@ class TestVerify:
         assert len(json.loads(out)["failures"]) >= 1
 
     def test_raising_case_is_reported_exit_1(self, capsys):
-        # (167, 156, 2.039, 19.22) overflows P_n^m in the closed form and
-        # (170, 169, 2.606, 14.61) in the oracle's integrand: both are
-        # failure records with a reason, last key, and no nan or inf.
+        # (167, 156, 2.039, 19.22) and (170, 169, 2.606, 14.61) overflow
+        # P_n^m in the oracle's integrand, though their closed forms fit:
+        # both are failure records with a reason, last key, and no nan or
+        # inf.
         code, out, err = run(capsys, ["verify", "--n-max", "170", "--R-max",
                                       "50", "--cases", "200", "--seed", "11"])
         assert code == 1
@@ -235,8 +272,9 @@ class TestVerify:
         assert all(list(f)[-1] == "reason" for f in rep["failures"])
         reasons = {(f["n"], f["m"]): f["reason"] for f in rep["failures"]
                    if f["reason"] is not None}
-        assert reasons[(167, 156)].startswith("closed form: P_n^m overflows")
+        assert reasons[(167, 156)].startswith("oracle: P_n^m overflows")
         assert reasons[(170, 169)].startswith("oracle: P_n^m overflows")
+        assert not any(r.startswith("closed form") for r in reasons.values())
         assert "nan" not in out.lower() and "inf" not in out.lower()
 
     @pytest.mark.parametrize("flags", [
@@ -342,6 +380,17 @@ class TestTable:
             assert row["abs_err"] >= 0
             assert row["abs_err"] < 1e-9
 
+    def test_whole_triangle_where_legendre_factors_overflow(self, capsys):
+        # From n = 156 on, P_n^m(cos 1) alone passes the double range at
+        # the top orders; every I fits at R = 5.
+        code, out, err = run(capsys, ["table", "--n-max", "170", "--all-m",
+                                      "--alpha", "1.0", "--R", "5"])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert len(rows) == 171 ** 2
+        assert all(math.isfinite(r["re"]) and math.isfinite(r["im"])
+                   for r in rows)
+
     def test_multiple_radii(self, capsys):
         code, out, _ = run(capsys, ["table", "--n-max", "0", "--all-m",
                                     "--alpha", "1.0", "--R", "1.0",
@@ -355,7 +404,7 @@ class TestTable:
         ["--alpha", "4.0", "--R", "2.0"],
         ["--n-max", "175", "--m", "-172", "--alpha", "1.0", "--R", "2.0"],
         ["--method", "quad", "--alpha", "1.0", "--R", "1e300"],
-        ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
+        ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "100"],
         ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
          "--method", "quad"],
     ])
@@ -462,18 +511,21 @@ class TestTableRows:
         (["--method", "quad", "--alpha", "1.0", "--R", "1e300"],
          "quadrature needs more than 2097152 nodes per pass (R, base_panels "
          "or nodes_per_panel too large)"),
-        (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
-         "P_n^m overflows double precision for n=170, m=170"),
+        (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "100"],
+         "I overflows double precision for n=170, m=170, alpha=1.0, "
+         "R=100.0"),
         (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
           "--method", "quad"],
          "P_n^m overflows double precision for n=170, m=170"),
         # The first failing entry in record order: one row per radius,
         # stepped entry by entry.
-        (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "5"],
-         "P_n^m overflows double precision for n=156, m=153"),
-        (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "5",
+        (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "100"],
+         "I overflows double precision for n=165, m=164, alpha=1.0, "
+         "R=100.0"),
+        (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "100",
           "--R", "0"],
-         "P_n^m overflows double precision for n=156, m=153"),
+         "I overflows double precision for n=165, m=164, alpha=1.0, "
+         "R=100.0"),
     ])
     def test_exit_2_reports_the_first_failing_entry(self, capsys, flags, err):
         code, out, got = run(capsys, ["table", "--n-max", "1"] + flags)
@@ -481,7 +533,7 @@ class TestTableRows:
 
     def test_compare_fails_at_the_first_failing_entry(self, capsys,
                                                       monkeypatch):
-        # A stand-in oracle keeps the 2.4e4 entries fast; its calls show
+        # A stand-in oracle keeps the 2.8e4 entries fast; its calls show
         # that every entry before the failing one ran both methods.
         seen = []
 
@@ -491,13 +543,13 @@ class TestTableRows:
 
         monkeypatch.setattr(lbk.cli, "integrate_I", oracle)
         code, out, err = run(capsys, ["table", "--n-max", "170", "--all-m",
-                                      "--alpha", "1.0", "--R", "5",
+                                      "--alpha", "1.0", "--R", "100",
                                       "--compare"])
         assert (code, out) == (2, "")
-        assert err == ("invalid input: P_n^m overflows double precision for "
-                       "n=156, m=153\n")
-        assert seen[-1] == (156, 152, 5.0)
-        assert len(seen) == 156 ** 2 + len(range(-156, 153))
+        assert err == ("invalid input: I overflows double precision for "
+                       "n=165, m=164, alpha=1.0, R=100.0\n")
+        assert seen[-1] == (165, 163, 100.0)
+        assert len(seen) == 165 ** 2 + len(range(-165, 164))
 
 
 def test_table_and_import_leave_the_process_pool_unloaded():

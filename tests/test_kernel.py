@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from dataclasses import astuple
 
 import mpmath
 import pytest
@@ -35,6 +37,67 @@ def _lock_mp(n, m, R):
     with mpmath.workdps(40):
         return float(2 * mpmath.factorial(n + m) / mpmath.factorial(n - m)
                      * _ratio_mp(n, m, R))
+
+
+def _legendre_mp(n, m, x):
+    # P_n^m(x) as an mpf, from the terminating 2F1(a-n, a+n+1; a+1;
+    # (1-x)/2), a = |m|, with the Condon-Shortley phase (DLMF 14.3.1);
+    # legenp's general series stalls near x = 1 at high orders.
+    a = abs(m)
+    x = mpmath.mpf(x)
+    fac = mpmath.factorial
+    leg = ((-1) ** a * fac(n + a) / (2 ** a * fac(a) * fac(n - a))
+           * (1 - x * x) ** (mpmath.mpf(a) / 2)
+           * mpmath.hyp2f1(a - n, a + n + 1, a + 1, (1 - x) / 2))
+    if m < 0:
+        leg *= (-1) ** a * fac(n - a) / fac(n + a)
+    return leg
+
+
+def _closed_mp(n, m, alpha, R, prime=False):
+    # 2 i^(n-m) P_n^m(x) j_n(R), or j_n'(R), as an mpc (40 digits), at the
+    # double x = cos(alpha) that the closed form evaluates P_n^m at.
+    with mpmath.workdps(40):
+        if not prime:
+            radial = _ratio_mp(n, 0, R)
+        elif R == 0.0:
+            radial = mpmath.mpf(1) / 3 if n == 1 else mpmath.mpf(0)
+        else:
+            radial = mpmath.diff(lambda r: _ratio_mp(n, 0, r), mpmath.mpf(R))
+        leg = _legendre_mp(n, m, math.cos(alpha))
+        return 2 * mpmath.mpc(0, 1) ** ((n - m) % 4) * leg * radial
+
+
+def _condition(n, m, alpha, R):
+    # |x P'/P| of P_n^m at x = cos(alpha) plus |R j_n'/j_n| at R: near a
+    # zero of a factor its recurrence loses about eps times that, relative.
+    x = math.cos(alpha)
+    with mpmath.workdps(40):
+        cond = mpmath.mpf(0)
+        leg = _legendre_mp(n, m, x)
+        if leg and abs(x) < 1.0:
+            slope = mpmath.diff(lambda t: _legendre_mp(n, m, t), x)
+            cond += abs(x * slope / leg)
+        radial = _ratio_mp(n, 0, R)
+        if radial and R:
+            slope = mpmath.diff(lambda r: _ratio_mp(n, 0, r), R)
+            cond += abs(R * slope / radial)
+        return cond
+
+
+def _assert_matches_mp(got, want, rel=1e-13):
+    # Within rel of |want|, or within the subnormal spacing below the
+    # normal range, where rounding once leaves an absolute error.
+    err = abs(mpmath.mpc(got) - want)
+    assert err <= rel * abs(want) + 5e-324, (got, complex(want))
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _normal(v):
+    return sys.float_info.min <= abs(v) < math.inf
 
 
 def _poisson_mp(s, x):
@@ -120,46 +183,101 @@ class TestClosedFormI:
             assert len(vals) == 1
 
 
+class TestClosedFormRange:
+    # Values whose P_n^m(cos alpha) or j_n(R) alone leaves the double range
+    # while I does not, against mpmath (I from 6.8e103 down to 9.9e-177).
+    @pytest.mark.parametrize("n, m, alpha, R", [
+        (170, 170, 1.0, 5.0), (167, 156, 2.039, 19.22),
+        (170, 154, 2.283, 38.08), (170, 170, 1.0, 1.0),
+        (150, 140, 1.0, 0.1), (120, 110, 1.0, 0.05),
+    ])
+    def test_value_fits_where_a_factor_does_not(self, n, m, alpha, R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = closed_form_I(IntegralParams(n, m, alpha, R))
+        _assert_matches_mp(got, _closed_mp(n, m, alpha, R))
+
+    @pytest.mark.parametrize("n, m, alpha, R", [
+        (170, 170, 1.0, 5.0), (150, 140, 1.0, 0.1),
+    ])
+    def test_derivative_fits_where_a_factor_does_not(self, n, m, alpha, R):
+        got = closed_form_dI_dR(IntegralParams(n, m, alpha, R))
+        _assert_matches_mp(got, _closed_mp(n, m, alpha, R, prime=True))
+
+    def test_raises_only_past_the_double_range(self):
+        # mpmath: |I(170, 170, 1, 100)| = 2.46e318
+        p = IntegralParams(170, 170, 1.0, 100.0)
+        assert abs(_closed_mp(*astuple(p))) > mpmath.mpf("2.4e318")
+        with pytest.raises(OverflowError, match="I overflows double "
+                           "precision for n=170, m=170, alpha=1.0, R=100.0"):
+            closed_form_I(p)
+
+    @given(st.integers(0, 170), st.data(), st.floats(0.0, math.pi),
+           st.floats(0.0, 200.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath_over_the_domain(self, n, data, alpha, R):
+        # A value within 1e-12 relative, subnormal or 0 included, or
+        # OverflowError past the range.  Near a zero of P_n^m or j_n the
+        # bound widens by 1e-15 times the condition number.
+        m = data.draw(st.integers(-n, n))
+        want = _closed_mp(n, m, alpha, R)
+        try:
+            got = closed_form_I(IntegralParams(n, m, alpha, R))
+        except OverflowError:
+            assert abs(want) >= 1e308
+            return
+        _assert_matches_mp(got, want,
+                           rel=1e-12 + 1e-15 * _condition(n, m, alpha, R))
+
+
 class TestClosedFormRow:
     @given(st.integers(0, 170), st.data(), st.floats(0.0, math.pi),
            st.floats(0.0, 1e4))
     @settings(max_examples=200, deadline=None)
     def test_each_order_is_closed_form_I(self, n, data, alpha, R):
         # Reference: the closed form written out per order, one P_n^m and
-        # one j_n(R) each.  A row keeps every value's bits, signed zeros
-        # included, and raises where an order raises.
+        # one j_n(R) each.  Wherever it and both its factors are normal and
+        # nonzero, a row and closed_form_I keep its bits, signed zeros
+        # included.  Elsewhere they match mpmath, and an order raises only
+        # where |I| passes the double range.
         ms = data.draw(st.lists(st.integers(-n, n), min_size=1, max_size=4))
         x = math.cos(alpha)
-
-        def entry(m):
-            return (2.0 * i_phase(n - m) * assoc_legendre(n, m, x)
-                    * spherical_bessel_j(n, R))
-
-        try:
-            want = [entry(m) for m in ms]
-        except OverflowError as exc:
-            with pytest.raises(OverflowError) as raised:
-                list(closed_form_row(n, ms, alpha, R))
-            assert str(raised.value) == str(exc)
-            return
-        got = list(closed_form_row(n, ms, alpha, R))
-        single = [closed_form_I(IntegralParams(n, m, alpha, R)) for m in ms]
-        for values in (got, single):
-            assert [(v.real.hex(), v.imag.hex()) for v in values] \
-                == [(w.real.hex(), w.imag.hex()) for w in want]
+        j = spherical_bessel_j(n, R)
+        row = closed_form_row(n, ms, alpha, R)
+        for m in ms:
+            single = IntegralParams(n, m, alpha, R)
+            try:
+                got = next(row)
+            except OverflowError:
+                assert abs(_closed_mp(n, m, alpha, R)) > sys.float_info.max
+                with pytest.raises(OverflowError):
+                    closed_form_I(single)
+                return
+            assert _bits(closed_form_I(single)) == _bits(got)
+            try:
+                leg = assoc_legendre(n, m, x)
+            except OverflowError:
+                leg = math.inf
+            want = 2.0 * i_phase(n - m) * leg * j
+            size = max(abs(want.real), abs(want.imag))
+            if all(_normal(v) for v in (leg, j, size)):
+                assert _bits(got) == _bits(want)
+            else:
+                _assert_matches_mp(got, _closed_mp(n, m, alpha, R), rel=(
+                    1e-12 + 1e-15 * _condition(n, m, alpha, R)))
 
     def test_raises_only_when_the_failing_order_is_taken(self):
-        # P_156^153(cos 1) leaves the double range; the orders before it
+        # I(165, 164, 1, 100) leaves the double range; the orders before it
         # come out with closed_form_I's bits, and building the row or
         # taking them raises nothing.
-        ms = [0, -153, 152, 153, 1]
-        row = closed_form_row(156, ms, 1.0, 5.0)
+        ms = [0, -164, 163, 164, 1]
+        row = closed_form_row(165, ms, 1.0, 100.0)
         for m in ms[:3]:
-            want = closed_form_I(IntegralParams(156, m, 1.0, 5.0))
+            want = closed_form_I(IntegralParams(165, m, 1.0, 100.0))
             got = next(row)
             assert (got.real.hex(), got.imag.hex()) \
                 == (want.real.hex(), want.imag.hex())
-        with pytest.raises(OverflowError, match="n=156, m=153"):
+        with pytest.raises(OverflowError, match="n=165, m=164"):
             next(row)
 
 

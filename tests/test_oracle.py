@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,21 @@ QK15_WEIGHTS = (
 QK15_GAUSS_WEIGHTS = (
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def _closed_mp(n, m, alpha, R):
+    # 2 i^(n-m) P_n^m(cos alpha) j_n(R) from mpmath (40 digits), m >= 0,
+    # P_n^m from its terminating 2F1 (DLMF 14.3.1): legenp takes seconds
+    # at (23, 21).
+    with mpmath.workdps(40):
+        x = mpmath.mpf(math.cos(alpha))
+        leg = ((-1) ** m * mpmath.factorial(n + m)
+               / (2 ** m * mpmath.factorial(m) * mpmath.factorial(n - m))
+               * (1 - x * x) ** (mpmath.mpf(m) / 2)
+               * mpmath.hyp2f1(m - n, m + n + 1, m + 1, (1 - x) / 2))
+        R = mpmath.mpf(R)
+        radial = mpmath.sqrt(mpmath.pi / (2 * R)) * mpmath.besselj(n + 0.5, R)
+        return complex(2 * mpmath.mpc(0, 1) ** ((n - m) % 4) * leg * radial)
 
 
 def assert_rule_exact(nodes, weights, n, tol):
@@ -273,17 +289,29 @@ class TestIntegrateI:
         assert q.panels_used == seed
         assert points == [(65 * seed + 1) // 2]
 
-    def test_sweep_draws_converge_at_seed(self):
+    def test_sweep_draws_converge_at_seed(self, monkeypatch):
         # One panel per two Legendre zeros: every case of a default-domain
         # sweep draw (n <= 20, R <= 50, alpha margin 0.05) is accepted at
-        # its seed layout under the sweep's stopping rule and agrees with
+        # its seed layout under the sweep's stopping rule, or, where it
+        # escalates, at the one layout it is compared with, and agrees with
         # the closed form to the sweep tolerance.
+        dtypes = []
+
+        def rule(order, dtype, _rule=lbk.oracle._gk_rule):
+            dtypes.append(dtype)
+            return _rule(order, dtype)
+
+        monkeypatch.setattr(lbk.oracle, "_gk_rule", rule)
         cfg = SweepConfig(seed=1, cases=400, alpha_margin=0.05)
         for p in draw_cases(cfg):
+            dtypes.clear()
             q = integrate_I(p, SWEEP_ORACLE_SPEC)
             c = closed_form_I(p)
+            escalated = _HAS_EXTENDED and np.longdouble in dtypes
+            seed = lbk.oracle._auto_panels(p.R, p.n)
             assert q.converged, p
-            assert q.panels_used == lbk.oracle._auto_panels(p.R, p.n), p
+            assert q.panels_used == (2 * seed if escalated else seed) or (
+                not _HAS_EXTENDED and q.panels_used == 2 * seed), p
             assert abs(q.value - c) / (1.0 + abs(c)) <= cfg.rel_tol, p
 
     def test_integrand_leaves_node_arrays_unmodified(self, monkeypatch):
@@ -303,10 +331,34 @@ class TestIntegrateI:
         for name in ("assoc_legendre", "bessel_j"):
             monkeypatch.setattr(lbk.oracle, name,
                                 guarded(getattr(lbk.oracle, name)))
-        # escalates to extended precision where the platform has it
+        # escalates to extended precision where the platform has it, and
+        # there takes a second layout to compare with
         q = integrate_I(IntegralParams(20, 20, 0.3, 48.0), SWEEP_ORACLE_SPEC)
         assert q.converged
-        assert len(checked) == (4 if _HAS_EXTENDED else 2)
+        assert len(checked) == (6 if _HAS_EXTENDED else 2)
+
+    @pytest.mark.parametrize("n, m, alpha, R, spec, converged", [
+        # The 73-panel extended pass gives K = G to the last bit at
+        # L1/|I| ~ 6e57; its value is -1.06e49.
+        (138, 34, 2.3882274427897348, 39.34176733928225, QuadratureSpec(),
+         False),
+        # At 914 panels the estimate, 1.10e6, meets the target, 1.14e6, but
+        # the value is 1.98e6 off.
+        (23, 21, 2.814, 5591.1, SWEEP_ORACLE_SPEC, False),
+        # test_high_cancellation_by_escalation's case: its layouts agree.
+        (20, 20, math.asin(0.1), 50.0,
+         QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8), True),
+    ])
+    def test_crowded_floor_converges_only_where_layouts_agree(
+            self, n, m, alpha, R, spec, converged):
+        # Where the rounding floor crowds the target, an estimate under it
+        # is not enough; a crowded call converges exactly where its value
+        # lies within the target of mpmath's.
+        want = _closed_mp(n, m, alpha, R)
+        q = integrate_I(IntegralParams(n, m, alpha, R), spec)
+        target = max(spec.abs_tol, spec.rel_tol * abs(want))
+        assert q.converged == converged
+        assert (abs(q.value - want) <= target) == converged
 
     @pytest.mark.parametrize("panels", [15, 16])
     @pytest.mark.parametrize("n, m", [(7, 3), (6, -3)])

@@ -91,13 +91,13 @@ class TestCheckIdentity:
 
 
     def test_raising_closed_form_is_a_failed_case(self):
-        # P_167^156(cos alpha) passes the double range although I does not
-        # (mpmath: -2.51e192); the case fails with the reason, not the sweep
-        rep = check_identity(IntegralParams(167, 156, 2.039, 19.22))
+        # I(170, 170, 1.0, 100) ~ 2.46e318 passes the double range (mpmath);
+        # the case fails with the reason, not the sweep
+        rep = check_identity(IntegralParams(170, 170, 1.0, 100.0))
         assert not rep.passed and not rep.oracle_converged
         assert rep.closed is rep.oracle is rep.abs_err is rep.rel_err is None
-        assert rep.reason == ("closed form: P_n^m overflows double "
-                              "precision for n=167, m=156")
+        assert rep.reason == ("closed form: I overflows double precision "
+                              "for n=170, m=170, alpha=1.0, R=100.0")
 
     def test_raising_oracle_is_a_failed_case(self):
         # The closed form fits (|I| ~ 1.7e146); the oracle's integrand
@@ -133,12 +133,13 @@ class TestSweepRandom:
 
 
     def test_raising_case_does_not_abort_the_sweep(self):
-        # seed 11 draws (167, 156, 2.039, 19.22) as its fifth case
+        # seed 11 draws (167, 156, 2.039, 19.22) as its fifth case, whose
+        # oracle integrand overflows P_n^m
         cfg = SweepConfig(seed=11, cases=5, n_max=170, R_max=50.0)
         assert draw_cases(cfg)[-1].n == 167
         rep = sweep_random(cfg, workers=1)
         assert rep.total == 5
-        assert any(f.reason and f.reason.startswith("closed form:")
+        assert any(f.reason and f.reason.startswith("oracle:")
                    for f in rep.failures)
         assert math.isfinite(rep.max_abs_err)
 
