@@ -35,9 +35,11 @@ from .specfun import (
     spherical_bessel_j,
 )
 
-# Partial sums accept at most this many terms; coefficients are built by
-# term ratios so no factorial is ever formed.
+# Partial sums accept at most this many terms and take SERIES_S terms by
+# default; coefficients are built by term ratios so no factorial is ever
+# formed.
 SERIES_S_MAX = 200
+SERIES_S = 40
 
 # The documented moment range; 2^{s+1} s! alone overflows just above it.
 MOMENT_S_CAP = 150
@@ -85,13 +87,15 @@ def closed_form_row(n, ms, alpha, R):
     """Closed form 2 i^{n-m} P_n^m(cos alpha) j_n(R) for each order m in ms.
 
     One degree n, tilt alpha and radius R, with the ranges of
-    ``IntegralParams``.  A generator over ``ms`` in order: cos(alpha) and
-    j_n(R) are evaluated once, on the first step, and P_n^m(cos alpha) on
+    ``IntegralParams``.  A generator over ``ms`` in order: the first step
+    checks (n, alpha, R) by those ranges, raising their ValueError, and
+    evaluates cos(alpha) and j_n(R) once; P_n^m(cos alpha) is evaluated on
     the step that yields order m, so a row never advanced does no work.
     The step of an order whose value leaves the double range raises
     OverflowError, as ``closed_form_I`` does; every order before it has
     been yielded.
     """
+    IntegralParams(n, 0, alpha, R)
     x = math.cos(alpha)
     j, e_j, _ = _sph_ratio_scaled(n, 0, R)
     j, e_j = float(j), int(e_j)
@@ -175,7 +179,7 @@ def _check_series_args(R, alpha, S):
         raise ValueError(f"require 0 <= S <= {SERIES_S_MAX} (got S={S})")
 
 
-def mult_theorem_partial(R, alpha, S=40):
+def mult_theorem_partial(R, alpha, S=SERIES_S):
     """Partial sum of the argument-rescaling series for j_0(R).
 
     Sums s = 0..S of (-1)^s / 2^s * sin^{2s}(alpha) / (s! cos^s(alpha)) *
@@ -194,7 +198,7 @@ def mult_theorem_partial(R, alpha, S=40):
     return total
 
 
-def i00_series_partial(R, alpha, S=40):
+def i00_series_partial(R, alpha, S=SERIES_S):
     """Partial sum of the n = m = 0 integral's series, 2x the j_0 series.
 
     Term by term this is exactly twice ``mult_theorem_partial``; the series

@@ -19,11 +19,12 @@ j_k above their Miller regimes share one upward recurrence.  Each loop
 returns the band of orders lo..hi it passes on one pass, and the regime is
 picked from hi: J_m and j_n are one-order bands, and the derivatives take
 their neighbouring orders from one band.  The Miller loop rescales by
-counted powers of two, so j_n(x)/x^p is a mantissa and a binary exponent,
-rounded once, and never passes through a j_n or x^p outside the double
-range.  The P_n^m degree recurrence is the only
-Legendre evaluator in the package; the quadrature oracle builds its rules
-from the recurrence coefficients of its Jacobi-Kronrod matrix instead.
+counted powers of two, so each order of a spherical band, and j_n(x)/x^p,
+is a mantissa and its own binary exponent, rounded once, and never passes
+through a j_n or x^p outside the double range.  The P_n^m degree
+recurrence is the only Legendre evaluator in the package; the quadrature
+oracle builds its rules from the recurrence coefficients of its
+Jacobi-Kronrod matrix instead.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -445,39 +446,39 @@ def _sph_ratio_scaled(n, p, x, prime=False):
         raise ValueError(f"order must be non-negative (got n={n})")
     if p < 0 or p > n:
         raise ValueError(f"power must satisfy 0 <= p <= n (got n={n}, p={p})")
-    arr, scalar = _nonnegative_array(x)
-    lo = max(n - 1, 0) if prime else n
-    mant, e, up = _sph_band((lo, n + 1) if prime else (n,), arr)
-    if prime:
-        # Below, the rows are y_lo and y_(n+1) x^(n+1-lo): times x^lo, the
-        # bracket is spherical_bessel_j_prime's formula (-x y_1 at n = 0).
-        mant = [(n * mant[0] - (n + 1) * mant[-1]) / (2.0 * n + 1.0)]
-    mant, e = _times_power(mant[0], e, arr, np.where(up, -p, lo - p))
-    return mant, e, scalar
-
-
-def _nonnegative_array(x):
     arr, scalar = _as_array(x, "spherical_bessel_ratio")
     if (arr < 0.0).any():
         raise ValueError("argument must be non-negative")
-    return arr, scalar
+    lo = max(n - 1, 0) if prime else n
+    rows, exps, up = _sph_band((lo, n + 1) if prime else (n,), arr)
+    mant, e = rows[0], exps[0]
+    if prime:
+        # Below, the rows are y_lo and y_(n+1): with x^(n+1-lo) y_(n+1) put
+        # on y_lo's exponent, the bracket times x^lo is
+        # spherical_bessel_j_prime's formula (-x y_1 at n = 0).  Combining
+        # before the power of x enters rounds less than powering each row.
+        top = rows[1] * np.where(up, 1.0, arr) ** (n + 1 - lo)
+        top = np.ldexp(top, exps[1] - e)
+        mant = (n * mant - (n + 1) * top) / (2.0 * n + 1.0)
+    mant, e = _times_power(mant, e, arr, np.where(up, -p, lo - p))
+    return mant, e, scalar
 
 
 def _sph_band(orders, x):
-    # j_k(x) / x^(d lo) = mant_k 2^e for the ascending ``orders`` k, from one
-    # loop per regime over their band lo..hi, picked by hi, with one
-    # exponent e per point.  Where ``up`` (x >= max(hi, 1)), d = 0, e = 0
-    # and mant_k is j_k from the elementary j_0, j_1 and the upward
-    # recurrence.  Below, d = 1 and mant_k is y_k x^(k-lo), y_k = j_k/x^k
-    # from the Miller loop, |mant_k| <= 1: x < hi lies below the first zero
-    # of j_lo.  The loop is normalized by y_0 = j_0 (1 at x = 0) or, where
-    # |j_1| > |j_0|, by y_1 = j_1/x; j_0 and j_1 have no common zeros.
+    # j_k(x) / x^(d k) = mant_k 2^(e_k) for the ascending ``orders`` k, from
+    # one loop per regime over their band lo..hi, picked by hi.  Where
+    # ``up`` (x >= max(hi, 1)), d = 0, e_k = 0 and mant_k is j_k from the
+    # elementary j_0, j_1 and the upward recurrence.  Below, d = 1 and
+    # mant_k 2^(e_k) is y_k = j_k/x^k from the Miller loop, frexp'd, its
+    # exponent net of the loop's rescales after passing k.  The loop is
+    # normalized by y_0 = j_0 (1 at x = 0) or, where |j_1| > |j_0|, by
+    # y_1 = j_1/x; j_0 and j_1 have no common zeros.
     lo, hi = orders[0], orders[-1]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at x = 0
         j0 = np.sin(x) / x
         j1 = (j0 - np.cos(x)) / x
     mant = [np.empty_like(x) for _ in orders]
-    e = 0
+    e = [np.zeros(x.shape, dtype=int) for _ in orders]
     up = x >= max(hi, 1)
     if up.any():
         band = _upward(lo, hi, x[up], j0[up], j1[up], 1)
@@ -490,15 +491,10 @@ def _sph_band(orders, x):
         use1 = np.abs(b) > np.abs(a)
         y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
         norm = np.where(use1, f1 * xs, f0)
-        md, ed = np.frexp(vals[0] / norm * y)
-        ed -= _RESCALE_BITS * drops[0]
-        mant[0][down] = md
-        for row, k in zip(mant[1:], orders[1:]):
-            i = k - lo
-            row[down] = np.ldexp(vals[i] / norm * y * xs ** i,
-                                 -_RESCALE_BITS * drops[i] - ed)
-        e = np.zeros(x.shape, dtype=int)
-        e[down] = ed
+        for row, row_e, k in zip(mant, e, orders):
+            md, ed = np.frexp(vals[k - lo] / norm * y)
+            row[down] = md
+            row_e[down] = ed - _RESCALE_BITS * drops[k - lo]
     return mant, e, up
 
 

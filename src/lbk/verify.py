@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import (
+    SERIES_S,
     IntegralParams,
     closed_form_dI_dR,
     closed_form_I,
@@ -154,7 +155,8 @@ def draw_cases(cfg):
     return cases
 
 
-def check_identity(p, spec=QuadratureSpec(), abs_tol=1e-8, rel_tol=1e-8):
+def check_identity(p, spec=QuadratureSpec(), abs_tol=SweepConfig.abs_tol,
+                   rel_tol=SweepConfig.rel_tol):
     """Compare the closed form against the oracle for one parameter tuple.
 
     A side that raises ValueError or OverflowError (a factor past the
@@ -363,7 +365,7 @@ _MULT_R_GRID = (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0)
 _MULT_ALPHA_GRID = (0.0, 0.15, 0.35, 0.55, math.pi / 4.0)
 
 
-def check_mult_theorem(R_grid=None, alpha_grid=None, S=40):
+def check_mult_theorem(R_grid=None, alpha_grid=None, S=SERIES_S):
     """Max error of both series partial sums against the elementary targets."""
     if S < 1:
         raise ValueError(f"require S >= 1 (got S={S})")

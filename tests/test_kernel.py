@@ -280,6 +280,18 @@ class TestClosedFormRow:
         with pytest.raises(OverflowError, match="n=165, m=164"):
             next(row)
 
+    @pytest.mark.parametrize("n, alpha, R, match", [
+        (3, -1.0, 2.0, "alpha must lie in"),  # I(alpha) = (-1)^m I(-alpha)
+        (3, 4.0, 2.0, "alpha must lie in"),   # sin(alpha) < 0
+        (171, 1.0, 1.0, "degree above cap 170"),
+        (3, 1.0, -2.0, "R must be finite"),
+    ])
+    def test_first_step_checks_the_ranges_of_integral_params(
+            self, n, alpha, R, match):
+        row = closed_form_row(n, [1], alpha, R)
+        with pytest.raises(ValueError, match=match):
+            next(row)
+
 
 class TestClosedFormDIdR:
     def test_base_case(self):

@@ -451,6 +451,29 @@ class TestSphericalBessel:
         with pytest.raises(ValueError):
             spherical_bessel_j(2, -0.5)
 
+    @pytest.mark.parametrize("N", [40, 80, 170])
+    def test_band_matches_each_lone_order(self, N):
+        # One band of orders 0..N per radius keeps each order on its own
+        # exponent, so it stays finite where x^k or j_k alone would leave
+        # the double range, and every order is the lone j_k to within
+        # 1e-13 of the envelope min(1, 1/R), or 1e-13 relative where j_k
+        # lies below 1e-20 of it.
+        for R in np.linspace(0.0, 2.0 * N, 40):
+            x = np.array([R])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                mant, e, up = specfun._sph_band(tuple(range(N + 1)), x)
+                band = [np.ldexp(*specfun._times_power(
+                    mant[k], e[k], x, np.where(up, 0, k)))[0]
+                    for k in range(N + 1)]
+            scale = min(1.0, 1.0 / R) if R > 0.0 else 1.0
+            for k, got in enumerate(band):
+                lone = spherical_bessel_j(k, R)
+                assert np.isfinite(got)
+                assert abs(got - lone) <= 1e-13 * scale, (k, R)
+                if abs(lone) < 1e-20 * scale:
+                    assert abs(got - lone) <= 1e-13 * abs(lone), (k, R)
+
 
 class TestSphericalBesselPrime:
     def test_goldens(self):
