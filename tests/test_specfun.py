@@ -188,9 +188,10 @@ class TestAssocLegendre:
     @pytest.mark.parametrize("degrees", [range(0, 21), (57, 101),
                                          (150, 169), (170,)])
     def test_array_matches_scalars_every_order(self, degrees):
-        # The in-place array recurrence and the numpy-scalar one give the
-        # same bits at every order of each degree, up to the cap; where the
-        # array raises OverflowError, so does the scalar call at some point.
+        # The degree recurrence stepped on an array and on each of its points
+        # alone, as numpy scalars, gives the same bits at every order of each
+        # degree, up to the cap; where the array raises OverflowError, so
+        # does the scalar call at some point.
         # (Every degree <= 170 takes ~13 s; these span the range.)
         x = np.array([-1.0, -0.93, -0.2, 0.0, 0.31, 0.55, 0.999])
         for n in degrees:
@@ -634,8 +635,9 @@ class TestFactorialRatio:
 @pytest.mark.parametrize("dtype", [
     np.float64, pytest.param(np.longdouble, marks=_EXTENDED_ONLY)])
 def test_array_arguments_left_unmodified(dtype):
-    # The recurrences step in place on their own buffers, never on the
-    # caller's array: every regime and the negative orders.
+    # The loops that update values in place (the cylindrical Miller loop,
+    # the Hankel set-up, the Legendre recurrence) do so on their own arrays,
+    # never on the caller's: every regime and the negative orders.
     x = np.concatenate([[0.0, 1e-9], np.linspace(0.5, 60.0, 40)]).astype(dtype)
     u = np.linspace(-1.0, 1.0, 41).astype(dtype)
     calls = [(bessel_j, (0,), x), (bessel_j, (-7,), x), (bessel_j, (40,), x),
@@ -648,3 +650,99 @@ def test_array_arguments_left_unmodified(dtype):
         before = arr.copy()
         fn(*args, arr)
         assert np.array_equal(arr, before), (fn.__name__, args)
+
+
+# The five evaluators of a real argument, each with integer arguments that
+# take it through its main loop.
+_EVALUATORS = [
+    pytest.param(assoc_legendre, (9, 4), id="assoc_legendre"),
+    pytest.param(bessel_j, (2,), id="bessel_j"),
+    pytest.param(spherical_bessel_j, (2,), id="spherical_bessel_j"),
+    pytest.param(spherical_bessel_j_prime, (2,), id="spherical_bessel_j_prime"),
+    pytest.param(spherical_bessel_ratio, (2, 1), id="spherical_bessel_ratio"),
+]
+
+
+@pytest.mark.parametrize("fn, args", _EVALUATORS)
+@pytest.mark.parametrize("x", [0.5 + 1j, 0.5 + 0j, np.array([0.25, 0.5 + 1j])],
+                         ids=["scalar", "zero_imaginary", "array"])
+def test_complex_argument_raises(fn, args, x):
+    # Cast to float, 0.5+1j gave j_2(0.5) with only a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="requires real arguments"):
+            fn(*args, x)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (assoc_legendre, (2.5, 1, 0.3), "n"),
+    (assoc_legendre, (2, 1.5, 0.3), "m"),
+    (bessel_j, (2.5, 1.0), "m"),
+    (spherical_bessel_j, (2.5, 1.0), "n"),
+    (spherical_bessel_j_prime, (2.5, 1.0), "n"),
+    (spherical_bessel_ratio, (3.5, 1, 1.0), "n"),
+    (spherical_bessel_ratio, (3, 1.5, 1.0), "p"),
+    (spherical_bessel_ratio, (3, math.nan, 1.0), "p"),
+    (factorial_ratio, (5.5, 2), "n"),
+    (factorial_ratio, (5, 2.5), "m"),
+    (factorial_ratio, (5, math.inf), "m"),
+    (factorial_ratio, ("5", 2), "n"),
+])
+def test_non_integral_degree_order_or_power_raises(fn, args, name):
+    with pytest.raises(ValueError, match=rf"must be an integer \(got {name}="):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn, ints, x", [
+    (assoc_legendre, (9, -4), 0.3),
+    (assoc_legendre, (170, 150), 0.9),
+    (bessel_j, (-7,), 3.0),
+    (spherical_bessel_j, (9,), 3.0),
+    (spherical_bessel_j_prime, (9,), 12.0),
+    (spherical_bessel_ratio, (9, 4), 3.0),
+    (factorial_ratio, (20, 7), None),
+])
+@pytest.mark.parametrize("kind", [float, np.float64, np.longdouble, np.int64,
+                                  np.int32])
+def test_integral_values_give_the_int_calls_bits(fn, ints, x, kind):
+    tail = () if x is None else (x,)
+    want = fn(*ints, *tail)
+    got = fn(*(kind(v) for v in ints), *tail)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_SPHERICAL = [(spherical_bessel_j, (9,)), (spherical_bessel_j_prime, (9,)),
+              (spherical_bessel_ratio, (9, 4))]
+
+
+@pytest.mark.parametrize("fn, args, x", [
+    (bessel_j, (3,), 1e-12),    # leading term
+    (bessel_j, (3,), 3.0),      # Miller
+    (bessel_j, (3,), 40.0),     # Hankel
+    (bessel_j, (-5,), 3.0),
+    (bessel_j, (5,), -3.0),
+    (bessel_j, (-4,), -40.0),
+    *[(fn, args, x) for fn, args in _SPHERICAL
+      for x in (0.0, 3.0, 12.0)],  # x = 0, Miller (x < n), upward (x >= n)
+    (assoc_legendre, (9, 4), 0.3),
+    (assoc_legendre, (9, -4), -0.3),
+    (assoc_legendre, (170, 150), 0.9),  # seeded: its bound 1073 > 1010
+], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("dtype", [
+    np.float64, pytest.param(np.longdouble, marks=_EXTENDED_ONLY)])
+def test_lone_point_matches_one_element_array(fn, args, x, dtype,
+                                              monkeypatch):
+    # The regime masks hand the loops one-element arrays; a lone point must
+    # give the bits that point gives inside an array of one.
+    array = fn(*args, np.array([x], dtype=dtype))
+    assert array.shape == (1,) and array.dtype == dtype
+    lone = fn(*args, dtype(x))
+    assert type(lone) is float
+    assert np.float64(lone).tobytes() == np.float64(array[0]).tobytes()
+    # In x's dtype, before the lone value is rounded to a Python float.
+    monkeypatch.setattr(specfun, "_maybe_scalar", lambda values, _: values)
+    unrounded = fn(*args, dtype(x))
+    assert unrounded.dtype == dtype
+    assert unrounded == array[0]
+    assert np.signbit(unrounded) == np.signbit(array[0])
