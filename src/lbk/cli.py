@@ -9,11 +9,9 @@ LBK_WORKERS, which caps sweep parallelism.
 """
 
 import argparse
-import csv
 import functools
 import io
 import json
-import statistics
 import sys
 import time
 from dataclasses import fields
@@ -72,6 +70,10 @@ def render_json(obj):
 
 def render_csv(header, rows):
     """CSV text with a bare-newline terminator and 17-digit floats."""
+    # Imported here, as statistics is in _median_seconds: a JSON eval, quad,
+    # table or verify process loads neither.
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -192,6 +194,8 @@ def cmd_verify(args):
 def _median_seconds(fns, arg, reps):
     # Median wall time of each fn(arg) over reps rounds; each round times
     # every fn once, so a slow spell of the host falls on all of them.
+    import statistics
+
     times = [[] for _ in fns]
     for _ in range(reps):
         for fn, spent in zip(fns, times):

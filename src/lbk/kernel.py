@@ -10,13 +10,14 @@ partial sums used to connect the n = m = 0 case back to 2 j_0(R).
 The closed form separates: its radial factor j_n(R) depends on the degree
 alone.  ``closed_form_row`` is an iterator over a list of orders at one
 (n, alpha, R): it evaluates cos(alpha) and j_n(R) on its first step and
-each order's P_n^m(cos alpha) on that order's step, so an order whose
-value overflows raises where it is taken.  ``closed_form_I`` is the first
-step of a one-order row, so both give the same bits.  Every closed form
-meets its factors as mantissas and binary exponents and rounds once: a
-value below the double range comes out subnormal or 0, and only a value
-past it raises OverflowError (for the on-axis integral, n = |m| = 170 at
-R = 1).
+one P_n^{|m|}(cos alpha) per pair of orders +-m, on the step of the first
+of the two it meets; the other takes it with the factor of A&S 8.2.5, as
+a lone P_n^m would.  An order whose value overflows raises where it is
+taken.  ``closed_form_I`` is the first step of a one-order row, so both
+give the same bits.  Every closed form meets its factors as mantissas and
+binary exponents and rounds once: a value below the double range comes
+out subnormal or 0, and only a value past it raises OverflowError (for the
+on-axis integral, n = |m| = 170 at R = 1).
 
 All phases are exact quarter-turn lookups; no trigonometric rounding enters
 the unit factor i^k.
@@ -89,19 +90,32 @@ def closed_form_row(n, ms, alpha, R):
     One degree n, tilt alpha and radius R, with the ranges of
     ``IntegralParams``.  A generator over ``ms`` in order: the first step
     checks (n, alpha, R) by those ranges, raising their ValueError, and
-    evaluates cos(alpha) and j_n(R) once; P_n^m(cos alpha) is evaluated on
-    the step that yields order m, so a row never advanced does no work.
-    The step of an order whose value leaves the double range raises
-    OverflowError, as ``closed_form_I`` does; every order before it has
+    evaluates cos(alpha) and j_n(R) once.  P_n^{|m|}(cos alpha) is
+    evaluated on the first step that yields order m or -m, and the other
+    sign reuses it with the factor ``_legendre_scaled`` applies, so the
+    bits are the same and a row never advanced does no work.  The step of
+    an order outside |m| <= n raises the ValueError naming that m, and the
+    step of an order whose value leaves the double range raises
+    OverflowError, as ``closed_form_I`` does; every order before either has
     been yielded.
     """
     IntegralParams(n, 0, alpha, R)
     x = math.cos(alpha)
-    j, e_j, _ = _sph_ratio_scaled(n, 0, R)
+    j, e_j, _ = _sph_ratio_scaled(n, 0, R, "closed_form_row")
     j, e_j = float(j), int(e_j)
+    legendre = {}  # |m| -> P_n^{|m|}(x) as (mantissa, exponent)
     for m in ms:
-        p, e, _ = _legendre_scaled(n, m, x)
-        yield _rounded(2.0 * i_phase(n - m) * float(p) * j, int(e) + e_j,
+        a = abs(m)
+        if a not in legendre:
+            if a > n:
+                IntegralParams(n, m, alpha, R)  # raises the order's error
+            p, e, _ = _legendre_scaled(n, a, x)
+            legendre[a] = float(p), int(e)
+        p, e = legendre[a]
+        if m < 0:
+            ratio, e_ratio = _scaled_factorial_ratio(n, a)
+            p, e = (1.0 if a % 2 == 0 else -1.0) / ratio * p, e - e_ratio
+        yield _rounded(2.0 * i_phase(n - m) * p * j, e + e_j,
                        _OVERFLOW, "I", n, m, alpha, R)
 
 
@@ -113,7 +127,8 @@ def closed_form_I(p):
 def closed_form_dI_dR(p):
     """R-derivative of the closed form: 2 i^{n-m} P_n^m(cos alpha) j_n'(R)."""
     leg, e, _ = _legendre_scaled(p.n, p.m, math.cos(p.alpha))
-    d, e_d, _ = _sph_ratio_scaled(p.n, 0, p.R, prime=True)
+    d, e_d, _ = _sph_ratio_scaled(p.n, 0, p.R, "closed_form_dI_dR",
+                                  prime=True)
     return _rounded(2.0 * i_phase(p.n - p.m) * float(leg) * float(d),
                     int(e) + int(e_d), _OVERFLOW, "dI/dR", p.n, p.m, p.alpha,
                     p.R)
@@ -138,7 +153,7 @@ def lock_closed_form(n, m, R, sign):
     _check_lock_args(n, m, R, sign)
     am = abs(m)
     ratio, e = _scaled_factorial_ratio(n, am)
-    mant, e_j, _ = _sph_ratio_scaled(n, am, R)
+    mant, e_j, _ = _sph_ratio_scaled(n, am, R, "lock_closed_form")
     value = _rounded(ratio * float(mant), e + int(e_j) + 1,
                      "on-axis integral overflows double precision for n={}, "
                      "m={}, R={}", n, m, R)
@@ -163,7 +178,7 @@ def poisson_closed_form(s, x):
     if s > MOMENT_S_CAP:
         raise OverflowError(f"moment index above cap {MOMENT_S_CAP} (got s={s})")
     _check_moment_args(s, x)
-    mant, e, _ = _sph_ratio_scaled(s, s, x)
+    mant, e, _ = _sph_ratio_scaled(s, s, x, "poisson_closed_form")
     return _rounded(math.factorial(s) * float(mant), s + 1 + int(e),
                     "moment overflows double precision for s={}, x={}", s, x)
 

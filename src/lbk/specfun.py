@@ -423,7 +423,9 @@ def spherical_bessel_j(n, x):
 
     ``spherical_bessel_ratio`` at p = 0; at x = 0, 1 for n = 0, else 0.
     """
-    return spherical_bessel_ratio(n, 0, x)
+    mant, e, scalar = _sph_ratio_scaled(_integer(n, "order", "n"), 0, x,
+                                        "spherical_bessel_j")
+    return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
 def spherical_bessel_j_prime(n, x):
@@ -438,7 +440,7 @@ def spherical_bessel_j_prime(n, x):
     is a mantissa and a binary exponent until it is rounded once.
     """
     mant, e, scalar = _sph_ratio_scaled(_integer(n, "order", "n"), 0, x,
-                                        prime=True)
+                                        "spherical_bessel_j_prime", prime=True)
     return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
@@ -454,18 +456,20 @@ def spherical_bessel_ratio(n, p, x):
     subnormal or 0, never nan.
     """
     mant, e, scalar = _sph_ratio_scaled(
-        _integer(n, "order", "n"), _integer(p, "power", "p"), x)
+        _integer(n, "order", "n"), _integer(p, "power", "p"), x,
+        "spherical_bessel_ratio")
     return _maybe_scalar(np.ldexp(mant, e), scalar)
 
 
-def _sph_ratio_scaled(n, p, x, prime=False):
+def _sph_ratio_scaled(n, p, x, name, prime=False):
     # j_n(x)/x^p, or j_n'(x) where ``prime`` (p = 0), as mant * 2^e with
-    # |mant| <= 1, for the kernel's closed forms to fold into.
+    # |mant| <= 1, for the kernel's closed forms to fold into.  ``name`` is
+    # the public function an argument error is reported under.
     if n < 0:
         raise ValueError(f"order must be non-negative (got n={n})")
     if p < 0 or p > n:
         raise ValueError(f"power must satisfy 0 <= p <= n (got n={n}, p={p})")
-    arr, scalar = _as_array(x, "spherical_bessel_ratio")
+    arr, scalar = _as_array(x, name)
     if (arr < 0.0).any():
         raise ValueError("argument must be non-negative")
     lo = max(n - 1, 0) if prime else n

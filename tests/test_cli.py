@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import lbk.cli
 import lbk.oracle
+import lbk.specfun
 from lbk.cli import main, render_json
 from lbk.kernel import IntegralParams, closed_form_I
 from lbk.oracle import QuadratureSpec, QuadResult
@@ -499,6 +500,24 @@ class TestTableRows:
         assert code == 0
         assert loop_calls["_backward"] + loop_calls["_upward"] == loops
 
+    def test_one_legendre_recurrence_per_order_pair(self, capsys,
+                                                    monkeypatch):
+        # 41 degrees with n + 1 values of |m| each; one recurrence per
+        # signed order would be 41^2 = 1681.
+        calls = []
+
+        def counted(*args, _loop=lbk.specfun._legendre_upward):
+            calls.append(args[:2])
+            return _loop(*args)
+
+        monkeypatch.setattr(lbk.specfun, "_legendre_upward", counted)
+        code, _, _ = run(capsys, ["table", "--n-max", "40", "--all-m",
+                                  "--R", "3"])
+        assert code == 0
+        assert len(calls) == 861
+        assert sorted(calls) == [(n, a) for n in range(41)
+                                 for a in range(n + 1)]
+
     @pytest.mark.parametrize("flags, err", [
         (["--alpha", "1.0", "--R", "2.0", "--R", "inf"],
          "R must be finite and non-negative (got inf)"),
@@ -555,23 +574,33 @@ class TestTableRows:
 def test_table_and_import_leave_the_process_pool_unloaded():
     # Only a pooled sweep imports concurrent.futures.process, and with it
     # multiprocessing; eval, quad and table processes skip that import.
+    # Likewise only CSV output loads csv and only bench loads statistics.
     script = """
 import contextlib, io, sys
 import lbk.cli
 from lbk.verify import SweepConfig, sweep_random
+lazy = ("multiprocessing", "concurrent.futures.process", "csv", "statistics")
+def loaded():
+    return [name for name in lazy if name in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = lbk.cli.main(["table", "--n-max", "2", "--all-m"])
-pool = ("multiprocessing", "concurrent.futures.process")
-print(code, [name for name in pool if name in sys.modules])
+print(code, loaded())
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = lbk.cli.main(["table", "--n-max", "1", "--R", "0",
+                         "--format", "csv"])
+print(code, loaded(), out.getvalue().splitlines()[:2])
 report = sweep_random(SweepConfig(seed=1, cases=9), workers=2)
-print(report.total, len(report.failures), [name for name in pool if name in sys.modules])
+print(report.total, len(report.failures), loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, LBK_WORKERS="2"),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "0 []", "9 0 ['multiprocessing', 'concurrent.futures.process']"]
+        "0 []",
+        "0 ['csv'] ['n,m,alpha,R,re,im,method,abs_err', "
+        "'0,0,1,0,2,0,closed,']",
+        "9 0 ['multiprocessing', 'concurrent.futures.process', 'csv']"]
 
 
 class TestCsvMatchesJson:

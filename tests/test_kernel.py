@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from dataclasses import astuple
@@ -19,7 +20,14 @@ from lbk.kernel import (
     mult_theorem_partial,
     poisson_closed_form,
 )
-from lbk.specfun import assoc_legendre, factorial_ratio, spherical_bessel_j
+from lbk.specfun import (
+    _legendre_scaled,
+    _rounded,
+    _sph_ratio_scaled,
+    assoc_legendre,
+    factorial_ratio,
+    spherical_bessel_j,
+)
 
 FOUR_OVER_PI = 1.2732395447351628
 
@@ -266,6 +274,39 @@ class TestClosedFormRow:
                 _assert_matches_mp(got, _closed_mp(n, m, alpha, R), rel=(
                     1e-12 + 1e-15 * _condition(n, m, alpha, R)))
 
+    @given(st.integers(0, 170), st.data(), st.floats(0.0, math.pi),
+           st.floats(0.0, 1e4))
+    @settings(max_examples=150, deadline=None)
+    def test_each_order_has_the_bits_of_its_signed_legendre(self, n, data,
+                                                            alpha, R):
+        # Reference: each order's own _legendre_scaled(n, m, x), which folds
+        # A&S 8.2.5 into a negative order's recurrence.  The row runs one
+        # recurrence per |m| and keeps every bit through duplicate and
+        # mixed-sign orders, up to the order whose value overflows.
+        ms = data.draw(st.lists(st.integers(-n, n), min_size=1, max_size=8))
+        x = math.cos(alpha)
+        j, e_j, _ = _sph_ratio_scaled(n, 0, R, "closed_form_row")
+        row = closed_form_row(n, ms, alpha, R)
+        for m in ms:
+            p, e, _ = _legendre_scaled(n, m, x)
+            try:
+                want = _rounded(2.0 * i_phase(n - m) * float(p) * float(j),
+                                int(e) + int(e_j), "overflow")
+            except OverflowError:
+                with pytest.raises(OverflowError, match=f"n={n}, m={m},"):
+                    next(row)
+                return
+            assert _bits(next(row)) == _bits(want)
+
+    def test_an_order_past_the_degree_raises_on_its_own_step(self):
+        # The error names the signed order, not the |m| the row evaluates.
+        row = closed_form_row(3, [2, -4], 1.0, 2.0)
+        assert _bits(next(row)) \
+            == _bits(closed_form_I(IntegralParams(3, 2, 1.0, 2.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                "order must satisfy |m| <= n (got n=3, m=-4)")):
+            next(row)
+
     def test_raises_only_when_the_failing_order_is_taken(self):
         # I(165, 164, 1, 100) leaves the double range; the orders before it
         # come out with closed_form_I's bits, and building the row or
@@ -359,6 +400,9 @@ class TestLockClosedForm:
             lock_closed_form(2, 3, 1.0, 1)
         with pytest.raises(ValueError):
             lock_closed_form(2, 1, -1.0, 1)
+        with pytest.raises(ValueError,
+                           match="lock_closed_form requires finite arguments"):
+            lock_closed_form(2, 1, math.inf, 1)
 
 
 class TestPoissonClosedForm:
@@ -403,6 +447,10 @@ class TestPoissonClosedForm:
             poisson_closed_form(-1, 1.0)
         with pytest.raises(ValueError):
             poisson_closed_form(2, -1.0)
+        with pytest.raises(ValueError,
+                           match="poisson_closed_form requires finite "
+                                 "arguments"):
+            poisson_closed_form(2, math.inf)
 
 
 class TestSeriesPartials:

@@ -670,8 +670,19 @@ def test_complex_argument_raises(fn, args, x):
     # Cast to float, 0.5+1j gave j_2(0.5) with only a ComplexWarning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="requires real arguments"):
+        with pytest.raises(ValueError,
+                           match=f"^{fn.__name__} requires real arguments$"):
             fn(*args, x)
+
+
+@pytest.mark.parametrize("fn, args", _EVALUATORS)
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.25, math.nan])],
+                         ids=["nan", "inf", "array"])
+def test_non_finite_argument_raises(fn, args, x):
+    # The error names the function called, not the one that evaluates it.
+    with pytest.raises(ValueError,
+                       match=f"^{fn.__name__} requires finite arguments$"):
+        fn(*args, x)
 
 
 @pytest.mark.parametrize("fn, args, name", [
