@@ -28,13 +28,16 @@ they share one Miller loop, each with its own normalization, and J_k and
 j_k above their Miller regimes share one upward recurrence.  Each loop
 returns the band of orders lo..hi it passes on one pass, and the regime is
 picked from hi: J_m and j_n are one-order bands, and the derivatives take
-their neighbouring orders from one band.  The Miller loop rescales by
-counted powers of two, so each order of a spherical band, and j_n(x)/x^p,
-is a mantissa and its own binary exponent, rounded once, and never passes
-through a j_n or x^p outside the double range.  The P_n^m degree
-recurrence is the only Legendre evaluator in the package; the quadrature
-oracle builds its rules from the recurrence coefficients of its
-Jacobi-Kronrod matrix instead.
+their neighbouring orders from one band.  The J_m loops also run a block
+of cases at once, one order per case, for the quadrature oracle's sweeps:
+each case enters the Miller loop at its own start order and Horner's loop
+at its own Hankel term count, so it keeps the bits of its own call.  The
+Miller loop rescales by counted powers of two, so each order of a
+spherical band, and j_n(x)/x^p, is a mantissa and its own binary
+exponent, rounded once, and never passes through a j_n or x^p outside the
+double range.  The P_n^m degree recurrence is the only Legendre evaluator
+in the package; the quadrature oracle builds its rules from the
+recurrence coefficients of its Jacobi-Kronrod matrix instead.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -198,35 +201,133 @@ def bessel_j(m, x):
     """
     m = _integer(m, "order", "m")
     arr, scalar = _as_array(x, "bessel_j")
+    return _maybe_scalar(_bessel_j(m, arr), scalar)
+
+
+def _bessel_j(m, x, sizes=None):
+    # bessel_j on a checked array, or, with ``sizes``, on the cases of a
+    # block as _bessel_band takes them, m holding one order per case.
+    # J_m(-x) = (-1)^m J_m(x) and J_{-m} = (-1)^m J_m: (-1)^m where exactly
+    # one of x and m is negative.
     mm = abs(m)
-    sign = 1.0 if mm % 2 == 0 else -1.0
-    signs = np.where(arr < 0.0, sign, 1.0) * (sign if m < 0 else 1.0)
-    (out,) = _bessel_band(mm, mm, np.abs(arr))
-    return _maybe_scalar(signs * out, scalar)
-
-
-def _bessel_band(lo, hi, x):
-    # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, the
-    # regime picked by hi.  Below sqrt(eps (lo+1)) the leading term holds
-    # for every order of the band: its neglected term x^2/(4(k+1)) is
-    # below eps/4 for k >= lo.
-    out = [np.empty_like(x) for _ in range(lo, hi + 1)]
-    tiny = x < math.sqrt(float(np.finfo(x.dtype).eps) * (lo + 1.0))
-    if tiny.any():
-        for k, row in enumerate(out, lo):
-            row[tiny] = _bessel_leading(k, x[tiny])
-    asym = x >= max(ASYM_X_MIN, hi)
-    if asym.any():
-        for row, val in zip(out, _bessel_hankel(lo, hi, x[asym])):
-            row[asym] = val
-    rest = ~(tiny | asym)
-    if rest.any():
-        # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
-        vals, j0, _, even_sum, drops = _backward(lo, hi, x[rest], 0)
-        norm = 2.0 * even_sum + j0
-        for row, val, drop in zip(out, vals, drops):
-            row[rest] = np.ldexp(val / norm, -_RESCALE_BITS * drop)
+    (out,) = _bessel_band(mm, mm, np.abs(x), sizes)
+    out *= np.where((x < 0.0) != _per_point(m < 0, sizes),
+                    _per_point(1.0 - 2.0 * (mm % 2), sizes), 1.0)
     return out
+
+
+def _per_point(values, sizes):
+    # One value per case of a block spread over its points; a one-case
+    # call's value as it is.
+    return values if sizes is None else np.repeat(values, sizes)
+
+
+def _bessel_band(lo, hi, x, sizes=None):
+    # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, the
+    # regime picked by hi.  With ``sizes``, x holds several cases end to
+    # end, sizes[i] >= 1 points of case i, and lo and hi one order per case
+    # (hi - lo the same for all): each case takes its regimes from its own
+    # orders, and its rows keep the bits of its own call.  Below
+    # sqrt(eps (lo+1)) the leading term holds for every order of the band:
+    # its neglected term x^2/(4(k+1)) is below eps/4 for k >= lo.
+    eps = float(np.finfo(x.dtype).eps)
+    if sizes is None:
+        count = hi - lo + 1
+        tiny, asym = x < math.sqrt(eps * (lo + 1.0)), x >= max(ASYM_X_MIN, hi)
+    else:
+        lo, hi, sizes = np.asarray(lo), np.asarray(hi), np.asarray(sizes)
+        count = int(hi[0] - lo[0]) + 1
+        tiny = x < np.repeat(np.sqrt(eps * (lo + 1.0)), sizes)
+        asym = x >= np.repeat(np.maximum(ASYM_X_MIN, hi), sizes)
+    out = [np.empty_like(x) for _ in range(count)]
+    for mask, regime in ((tiny, _bessel_leading_band), (asym, _bessel_hankel),
+                         (~(tiny | asym), _bessel_miller)):
+        if mask.any():
+            for row, val in zip(out, regime(*_subset(mask, lo, hi, x, sizes))):
+                row[mask] = val
+    return out
+
+
+def _subset(mask, lo, hi, x, sizes):
+    # The orders, points and case sizes of x[mask], without the cases that
+    # have no point there; where one case is left, a one-case call.
+    if sizes is not None:
+        counts = np.add.reduceat(mask, np.cumsum(sizes) - sizes, dtype=int)
+        keep = np.flatnonzero(counts)
+        if keep.size == 1:
+            lo, hi, sizes = int(lo[keep[0]]), int(hi[keep[0]]), None
+        else:
+            lo, hi, sizes = lo[keep], hi[keep], counts[keep]
+    return lo, hi, x[mask], sizes
+
+
+def _cases(lo, hi, sizes):
+    # A band call's cases: their slices of x (None for a one-case call: its
+    # whole x), their his, order -> [(row, slice)] for the cases whose band
+    # takes the order, and the band's row count.  Callers only read them.
+    if sizes is None:
+        return _one_case(lo, hi)
+    ends = np.cumsum(sizes).tolist()
+    slices = [slice(end - size, end) for size, end in zip(sizes.tolist(), ends)]
+    taken = {}
+    for sl, a, b in zip(slices, lo.tolist(), hi.tolist()):
+        for k in range(a, b + 1):
+            taken.setdefault(k, []).append((k - a, sl))
+    return slices, hi.tolist(), taken, int(hi[0] - lo[0]) + 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _one_case(lo, hi):
+    return ((None,), (hi,), {k: ((k - lo, None),) for k in range(lo, hi + 1)},
+            hi - lo + 1)
+
+
+def _take(a, sl):
+    # Case slice ``sl`` of a per-point array; a one-case call's or a
+    # scalar's whole value.
+    return a if sl is None or np.ndim(a) == 0 else a[sl]
+
+
+def _new_rows(count, x, sizes, dtype):
+    # The rows a band call fills: a one-case call sets each whole (_put), a
+    # block each case's slice of rows like x.
+    if sizes is None:
+        return [None] * count
+    return [np.zeros(x.shape, dtype) for _ in range(count)]
+
+
+def _put(rows, j, sl, value):
+    # Row j of a one-case call is ``value``; in a block, case slice sl of
+    # row j takes value's slice.
+    if sl is None:
+        rows[j] = value
+    else:
+        rows[j][sl] = _take(value, sl)
+
+
+def _case_reduce(ufunc, x, sizes):
+    # ufunc reduced over each case of a band call.
+    if sizes is None:
+        return [ufunc.reduce(x)]
+    return ufunc.reduceat(x, np.cumsum(sizes) - sizes)
+
+
+def _bessel_leading_band(lo, hi, x, sizes=None):
+    _, _, taken, count = _cases(lo, hi, sizes)
+    rows = _new_rows(count, x, sizes, x.dtype)
+    for k, parts in taken.items():
+        value = _bessel_leading(k, x)
+        for j, sl in parts:
+            _put(rows, j, sl, value)
+    return rows
+
+
+def _bessel_miller(lo, hi, x, sizes=None):
+    # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
+    vals, j0, _, even_sum, drops = _backward(lo, hi, x, 0, sizes)
+    norm = 2.0 * even_sum + j0
+    return [np.ldexp(val / norm, -_RESCALE_BITS * drop)
+            for val, drop in zip(vals, drops)]
 
 
 def _bessel_leading(m, x):
@@ -243,20 +344,27 @@ def _bessel_leading(m, x):
     return np.ldexp(mant ** m * q, m * e - shift)
 
 
-def _bessel_hankel(lo, hi, x):
+def _bessel_hankel(lo, hi, x, sizes=None):
     # [J_lo(x), ..., J_hi(x)] for x >= max(ASYM_X_MIN, hi).
     # J_nu = (P cos chi - Q sin chi) sqrt(2/(pi x)), chi = x - (nu/2 + 1/4) pi,
     # for nu = 0, 1 (DLMF 10.17.3), then J_{k+1} = 2k/x J_k - J_{k-1}, stable
     # for k <= x.  P and Q are Horner polynomials in z = 1/x^2, cut after the
-    # first terms below eps at the smallest x.  The four polynomials are the
-    # rows of one array, so one numpy call steps all four, and every update
-    # is in place, so the regime holds no more memory than the Miller loop
-    # would; out of place, bessel_j(7, x) on 20 000 points in [25, 1000]
-    # took 43 % longer (median of 20 alternating rounds).
+    # first terms below eps at the smallest x of each case; in a block a
+    # case with fewer terms enters Horner's loop at its own top term.  The
+    # four polynomials are the rows of one array, so one numpy call steps
+    # all four, and every update is in place, so the regime holds no more
+    # memory than the Miller loop would; out of place, bessel_j(7, x) on
+    # 20 000 points in [25, 1000] took 43 % longer (median of 20 alternating
+    # rounds).
     tol = math.log(float(np.finfo(x.dtype).eps) / 4.0)
-    above = _HANKEL_LOG - _HANKEL_POWER * math.log(np.min(x)) > tol
-    terms = np.count_nonzero(above.any(axis=0)) + 1
-    coefs = _HANKEL_PQ[:, :terms].astype(x.dtype)
+    terms = [np.count_nonzero(
+        (_HANKEL_LOG - _HANKEL_POWER * math.log(xmin) > tol).any(axis=0)) + 1
+        for xmin in _case_reduce(np.minimum, x, sizes)]
+    coefs = _HANKEL_PQ[:, :max(terms)].astype(x.dtype)
+    enter = {}
+    for sl, count in zip(_cases(lo, hi, sizes)[0], terms):
+        if count < coefs.shape[1]:
+            enter.setdefault(count - 1, []).append(sl)
     z = 1.0 / x
     z *= z
     h = np.empty((4,) + x.shape, dtype=x.dtype)
@@ -264,6 +372,9 @@ def _bessel_hankel(lo, hi, x):
     for i in range(coefs.shape[1] - 2, -1, -1):
         h *= z
         h += coefs[:, i, None]
+        if i in enter:
+            for sl in enter[i]:
+                h[:, sl] = coefs[:, i, None]
     del z
     h[1::2] /= x
     # cos chi and sin chi are (c + s, s - c)/sqrt 2 at nu = 0 and
@@ -282,10 +393,10 @@ def _bessel_hankel(lo, hi, x):
     h[0] += h[1]
     h[2] -= h[3]
     h[0::2] /= np.sqrt(4.0 * np.arctan(x.dtype.type(1)) * x)  # pi in x's dtype
-    return _upward(lo, hi, x, h[0], h[2], 0)
+    return _upward(lo, hi, x, h[0], h[2], 0, sizes)
 
 
-def _upward(lo, hi, x, f0, f1, shift):
+def _upward(lo, hi, x, f0, f1, shift, sizes=None):
     # [f_lo, ..., f_hi] from f_0, f_1 and f_{k+1} = (2k+shift)/x f_k - f_{k-1},
     # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
     # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
@@ -293,18 +404,24 @@ def _upward(lo, hi, x, f0, f1, shift):
     # near x = k and, in the Miller loop, k eps where x << k.  Updates are
     # in place, so the loop holds three arrays; a single point steps as
     # numpy scalars, which rebind instead: as a one-element array, a lone
-    # j_20(33.3) took 2.7 times as long and j_150(400) 7 times.
+    # j_20(33.3) took 2.7 times as long and j_150(400) 7 times.  In a block
+    # the loop runs to the highest hi, each case taking its own band.
+    _, his, taken, count = _cases(lo, hi, sizes)
+    band = _new_rows(count, x, sizes, x.dtype)
     if x.size == 1:
         x, f0, f1 = x[0], f0[0], f1[0]
-    band = [f0, f1][lo:hi + 1]
+    for k, f in (0, f0), (1, f1):
+        for j, sl in taken.get(k, ()):
+            _put(band, j, sl, f)
     prev, cur = f0, f1
-    for k in range(1, hi):
+    for k in range(1, max(his)):
         nxt = (2.0 * k + shift) / x
         nxt *= cur
         nxt -= prev
         prev, cur = cur, nxt
-        if k >= lo - 1:
-            band.append(cur)
+        if k + 1 in taken:
+            for j, sl in taken[k + 1]:
+                _put(band, j, sl, cur)
     return band
 
 
@@ -329,20 +446,30 @@ _HANKEL_PQ, _HANKEL_POWER = _hankel_coefficients(int(ASYM_X_MIN))
 _HANKEL_LOG = np.log(np.abs(_HANKEL_PQ).astype(float))
 
 
-def _backward(lo, hi, x, shift):
+def _backward(lo, hi, x, shift, sizes=None):
     # Miller's backward recurrence for a minimal solution, up to one factor
     # per element: shift 0 runs f_{k-1} = 2k/x f_k - f_{k+1} (J_k), shift 1
     # f_{k-1} = (2k+1) f_k - x^2 f_{k+1} (y_k = j_k(x)/x^k; Gil, Segura &
     # Temme 2007), which divides by nothing and is exact at x = 0.  The loop
-    # starts at _miller_start for the eps of x's dtype.
+    # starts at _miller_start for the eps of x's dtype, from the largest x
+    # and hi; in a block (``sizes``, as in _bessel_band) each case's slice
+    # holds zeros, which the loop keeps exactly zero, until the step of its
+    # own start, where it takes the seed a one-case call starts from.
     # Returns the band [f_lo, ..., f_hi] the loop passes on its way down,
     # f_0, f_1, sum_{k>=1} f_{2k} (shift 0's normalization; zeros for shift
     # 1, sparing it an array add every other step) and one drop per band
     # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
     # f_1 and the sum, the rescales the loop made after passing k.
-    xmax = float(x.max())
-    big = max(hi, int(math.ceil(xmax)), 1)
-    start = _miller_start(big, x.dtype)
+    slices, his, taken, count = _cases(lo, hi, sizes)
+    xmaxs = [float(v) for v in _case_reduce(np.maximum, x, sizes)]
+    starts = [_miller_start(max(b, math.ceil(xmax), 1), x.dtype)
+              for b, xmax in zip(his, xmaxs)]
+    # events[k]: the case slices that start at step k (in a block) and the
+    # (row, slice) pairs that take f_{k-1} into the band.
+    events = {k + 1: ([], parts) for k, parts in taken.items()}
+    if sizes is not None:
+        for sl, start in zip(slices, starts):
+            events.setdefault(start, ([], ()))[0].append(sl)
     # The spherical loop's callers pass one j_n(R) at a time, so each step
     # makes one new value and rebinds, and a lone point steps as numpy
     # scalars: as a one-element array, a lone j_20(5) took about twice as
@@ -352,6 +479,7 @@ def _backward(lo, hi, x, shift):
     # (median of 30 alternating rounds) and sweep ran 4 % slower (median of
     # 8 pairs).
     if shift:
+        xmax = max(xmaxs)
         a, b = 1.0, xmax * xmax
         if x.size == 1:
             x = x.reshape(())[()]
@@ -359,16 +487,23 @@ def _backward(lo, hi, x, shift):
     else:
         a, b = 1.0 / float(x.min()), 1.0
         spare = np.empty_like(x)
-    fk, fkp1, even_sum = x * 0.0 + 1e-30, x * 0.0, x * 0.0
-    # band[i] was passed when ``drops`` stood at marks[i]; counting the
+    fk = x * 0.0 + (1e-30 if sizes is None else 0.0)
+    fkp1, even_sum = x * 0.0, x * 0.0
+    # band[j] was passed when ``drops`` stood at marks[j]; counting the
     # rescales once and subtracting at the end is exact in integers.
-    band, marks, drops = [], [], 0
+    band = _new_rows(count, x, sizes, x.dtype)
+    marks, drops = _new_rows(count, x, sizes, int), 0
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits of
     # J_m.  bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which
     # the 1e-3 margin absorbs, so the test runs only where it could fire.
+    # A case that starts later enters below the bound, as its seed is.
     bk, bkp1 = 1e-30, 0.0
-    for k in range(start, 0, -1):
+    for k in range(max(starts), 0, -1):
+        event = events.get(k)
+        if event:
+            for sl in event[0]:
+                fk[sl] = 1e-30
         if shift:
             nxt = (2.0 * k + 1.0) * fk - x2 * fkp1
         else:
@@ -379,9 +514,11 @@ def _backward(lo, hi, x, shift):
             spare = fkp1
         fk, fkp1 = nxt, fk
         bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
-        if lo <= k - 1 <= hi:
-            band.append(fk if shift else fk.copy())
-            marks.append(drops)
+        if event:
+            for j, sl in event[1]:
+                # a one-case call keeps the loop's buffer, which moves on
+                _put(band, j, sl, fk.copy() if sl is None and not shift else fk)
+                _put(marks, j, sl, drops)
         if shift == 0 and (k - 1) % 2 == 0 and k > 1:
             even_sum += fk
         if bk > 1e-3 * _RESCALE_LIMIT:
@@ -393,8 +530,7 @@ def _backward(lo, hi, x, shift):
                 even_sum = even_sum * f
                 drops = drops + clip
             bk = min(bk, _RESCALE_LIMIT)
-    return (band[::-1], fk, fkp1, even_sum,
-            [drops - mark for mark in marks[::-1]])
+    return band, fk, fkp1, even_sum, [drops - mark for mark in marks]
 
 
 @functools.lru_cache(maxsize=1024)

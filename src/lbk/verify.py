@@ -5,7 +5,10 @@ deterministically from a seed, compares the closed form against the
 quadrature oracle case by case and aggregates the failures.  The draw uses
 CPython's ``random.Random`` (MT19937) through ``random()`` only, with the
 mapping documented in ``draw_cases``, so any implementation of the same
-generator reproduces the sweep bit for bit.
+generator reproduces the sweep bit for bit.  The cases run in blocks of
+consecutive cases whose oracle seed passes are evaluated together
+(``oracle._seeded``); each case still gets the report of its own lone
+``check_identity`` call, bit for bit.
 
 Residual checks normalize by 1 + (largest term modulus): relative where the
 recurrence terms are large, absolute where they all vanish together (for
@@ -32,8 +35,10 @@ from .kernel import (
 )
 from .oracle import (
     QuadratureSpec,
+    _blocks,
     _check_tolerances,
     _gk_rule,
+    _seeded,
     integrate_dI_dR,
     integrate_I,
 )
@@ -179,16 +184,29 @@ def check_identity(p, spec=QuadratureSpec(), abs_tol=SweepConfig.abs_tol,
                       quad.converged)
 
 
+def _check_cases(cases, spec, abs_tol, rel_tol):
+    # check_identity over consecutive cases, one oracle block
+    # (oracle._seeded) at a time.
+    reports = []
+    for block in _blocks(cases, spec):
+        with _seeded(block, spec):
+            reports += [check_identity(p, spec, abs_tol, rel_tol)
+                        for p in block]
+    return reports
+
+
 def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
     """Run ``check_identity`` over the seeded case list and aggregate.
 
-    Cases run independently (optionally in a process pool); the report is
-    assembled in case order, so equal seeds give equal reports apart from
-    ``wall_time`` regardless of scheduling.
+    Cases run independently (optionally in a process pool, in chunks of
+    consecutive cases, each split into oracle blocks of at most
+    ``oracle._BLOCK_NODES`` seed nodes); the report is assembled in case
+    order, so equal seeds give equal reports apart from ``wall_time``
+    regardless of scheduling or blocking.
     """
     start = time.perf_counter()
     cases = draw_cases(cfg)
-    run = partial(check_identity, spec=spec, abs_tol=cfg.abs_tol,
+    run = partial(_check_cases, spec=spec, abs_tol=cfg.abs_tol,
                   rel_tol=cfg.rel_tol)
     nworkers = resolve_workers(workers)
     if nworkers > 1 and cfg.cases > 8:
@@ -201,9 +219,11 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            reports = list(pool.map(run, cases, chunksize=chunk))
+            reports = [r for part in pool.map(
+                run, [cases[i:i + chunk] for i in range(0, len(cases), chunk)])
+                for r in part]
     else:
-        reports = [run(p) for p in cases]
+        reports = run(cases)
     failures = tuple(r for r in reports if not r.passed)
     return SweepReport(
         config=cfg,

@@ -500,6 +500,14 @@ class TestIntegrateLock:
             integrate_lock(*args)
         assert str(quad.value) == str(closed.value)
 
+    def test_infinite_radius_raises_value_error(self):
+        with pytest.raises(ValueError,
+                           match="^integrate_lock requires finite arguments$"):
+            integrate_lock(2, 1, math.inf, 1)
+        with pytest.raises(ValueError,
+                           match="^lock_closed_form requires finite arguments$"):
+            lock_closed_form(2, 1, math.inf, 1)
+
 
 class TestIntegratePoissonExp:
     def test_trivials(self):
@@ -522,6 +530,16 @@ class TestIntegratePoissonExp:
         with pytest.raises(ValueError) as quad:
             integrate_poisson_exp(s, x)
         assert str(quad.value) == str(closed.value)
+
+    def test_infinite_argument_raises_value_error(self):
+        with pytest.raises(
+                ValueError,
+                match="^integrate_poisson_exp requires finite arguments$"):
+            integrate_poisson_exp(2, math.inf)
+        with pytest.raises(
+                ValueError,
+                match="^poisson_closed_form requires finite arguments$"):
+            poisson_closed_form(2, math.inf)
 
     def test_moment_cap_is_closed_form_only(self):
         with pytest.raises(OverflowError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbk import specfun
@@ -355,10 +355,10 @@ class TestBesselJ:
         # Miller loop sees only the points below it.
         calls = []
 
-        def guarded(lo, hi, x, shift):
+        def guarded(lo, hi, x, shift, sizes=None):
             assert float(np.max(x)) < max(25.0, hi), (hi, np.max(x))
             calls.append(hi)
-            return miller(lo, hi, x, shift)
+            return miller(lo, hi, x, shift, sizes)
 
         miller = specfun._backward
         monkeypatch.setattr(specfun, "_backward", guarded)
@@ -368,6 +368,36 @@ class TestBesselJ:
             bessel_j(m, x)
             bessel_j(m, float(max(25, abs(m))))
         assert calls
+
+    @given(st.lists(
+        st.tuples(st.integers(-170, 170), st.lists(
+            st.just(0.0)
+            | st.floats(0.0, 1e-9)      # leading term
+            | st.floats(1e-7, 2.0)      # Miller, rescaled at large |m|
+            | st.floats(0.0, 24.9)      # Miller
+            | st.floats(25.0, 1e3),     # Hankel above max(25, |m|)
+            min_size=1, max_size=12)),
+        min_size=1, max_size=8))
+    @example([(170, [1e-3]), (3, [0.5, 30.0]), (-40, [25.0, 1e-10]),
+              (0, [800.0]), (1, [26.0, 0.0])])
+    # Fewer Hankel terms than the block's most give other last bits here.
+    @example([(0, [25.0]), (9, [28.761702993515154]),
+              (17, [44.49981410388491])])
+    @settings(max_examples=300, deadline=None)
+    def test_block_gives_each_case_its_own_bits(self, cases):
+        # The cases of an oracle block share every loop of one call, yet
+        # each keeps the bits of its own bessel_j call: its own Miller
+        # start and Hankel term count, whatever the other cases need.
+        orders = np.array([m for m, _ in cases])
+        sizes = np.array([len(x) for _, x in cases])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = specfun._bessel_j(
+                orders, np.concatenate([x for _, x in cases]), sizes)
+            ends = np.cumsum(sizes)
+            for (m, x), end, size in zip(cases, ends, sizes):
+                assert np.array_equal(block[end - size:end],
+                                      bessel_j(m, np.array(x))), (m, x)
 
     def test_single_precision_input_runs_in_double(self):
         # The Miller loop's rescale limit (1e250) is past the float32 range,

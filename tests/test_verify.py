@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import lbk.oracle
 import lbk.verify
 from lbk.kernel import IntegralParams
 from lbk.oracle import QuadratureSpec
@@ -142,6 +144,64 @@ class TestSweepRandom:
         assert any(f.reason and f.reason.startswith("oracle:")
                    for f in rep.failures)
         assert math.isfinite(rep.max_abs_err)
+
+
+class TestOracleBlocks:
+    # sweep_random evaluates the oracle's seed passes a block of cases at a
+    # time; each case must still get the report of its own lone call.
+
+    @pytest.mark.parametrize("cases", [5, 48])
+    def test_sweep_matches_lone_calls(self, cases, monkeypatch):
+        # seed 11 at n <= 170: the fifth case raises in the oracle (P_n^m
+        # overflows), and others escalate to longdouble and stay
+        # unconverged.  At 48 cases the pool's chunks hold 3 cases each.
+        cfg = SweepConfig(seed=11, cases=cases, n_max=170, R_max=50.0)
+        spec = SWEEP_ORACLE_SPEC
+        lone = [check_identity(p, spec, cfg.abs_tol, cfg.rel_tol)
+                for p in draw_cases(cfg)]
+        assert any(r.reason and r.reason.startswith("oracle:") for r in lone)
+        assert any(r.reason is None and not r.oracle_converged for r in lone)
+
+        longdouble = []
+        gk_rule = lbk.oracle._gk_rule
+
+        def spy(n, dtype):
+            longdouble.append(np.dtype(dtype) == np.dtype(np.longdouble))
+            return gk_rule(n, dtype)
+
+        monkeypatch.setattr(lbk.oracle, "_gk_rule", spy)
+        assert max(map(len, lbk.oracle._blocks(draw_cases(cfg), spec))) > 1
+        blocked = lbk.verify._check_cases(draw_cases(cfg), spec,
+                                          cfg.abs_tol, cfg.rel_tol)
+        # repr tells every bit of a float, the sign of zero included
+        assert list(map(repr, blocked)) == list(map(repr, lone))
+        assert any(longdouble) or not lbk.oracle._HAS_EXTENDED
+        monkeypatch.undo()
+
+        failures = tuple(r for r in lone if not r.passed)
+        for workers in (1, 2):
+            rep = sweep_random(cfg, spec, workers=workers)
+            assert rep.total == cases
+            assert list(map(repr, rep.failures)) == list(map(repr, failures))
+            assert rep.max_abs_err == max(
+                r.abs_err for r in lone if r.abs_err is not None)
+            assert rep.max_rel_err == max(
+                r.rel_err for r in lone if r.rel_err is not None)
+            assert lbk.oracle._SEEDS.get() is None
+
+    def test_block_seeds_dropped_when_it_raises(self):
+        cfg = SweepConfig(seed=11, cases=5, n_max=170, R_max=50.0)
+        block = draw_cases(cfg)
+        spec = SWEEP_ORACLE_SPEC
+        with pytest.raises(RuntimeError):
+            with lbk.oracle._seeded(block, spec):
+                # the case whose P_n^m overflows raises in its own call
+                assert set(lbk.oracle._SEEDS.get()) == {(p, spec)
+                                                        for p in block[:4]}
+                assert check_identity(block[4], spec).reason.startswith(
+                    "oracle: P_n^m overflows")
+                raise RuntimeError
+        assert lbk.oracle._SEEDS.get() is None
 
 
 class TestRecurrences:
