@@ -2,9 +2,11 @@
 
 Angles are accepted in radians only.  Results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 quadrature non-convergence.  Floats are rendered with 17 significant
-digits in both JSON and CSV; JSON uses a canonical compact form whose
-parse/re-render is the identity.  The only environment input is
+3 quadrature non-convergence, 141 stdout closed by its reader before the
+output was written (128 + SIGPIPE, what a shell reports for a process
+that SIGPIPE ends), without a message.  Floats are rendered with 17
+significant digits in both JSON and CSV; JSON uses a canonical compact
+form whose parse/re-render is the identity.  The only environment input is
 LBK_WORKERS, which caps sweep parallelism.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -385,8 +388,21 @@ def main(argv=None):
     return args.func(args)
 
 
+# Exit code when the reader of stdout goes away first, as in
+# ``lbk table ... | head``.
+_EXIT_CLOSED_PIPE = 141
+
+
 def app():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, so it is pointed at devnull,
+        # which cannot raise (the pattern of the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_CLOSED_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -10,34 +10,34 @@ j_n(x)/x^p.  Degrees, orders and powers are integers; an integral float
 such as 2.0 stands for its int, and any other value raises ValueError.
 
 Each loop steps one way whatever the size of its argument, the way its
-callers need: the Legendre recurrence and the spherical Miller loop, which
-the closed forms run on one point, make a new value per step and rebind (a
-lone point as numpy scalars); the cylindrical Miller loop and the Hankel
-set-up, which the oracle runs on node arrays, update their own buffers in
-place.  A lone point and the same point in an array of one give the same
-bits.
+callers need: the Legendre recurrence, which the closed forms run on one
+point, makes a new value per step and rebinds (a lone point as numpy
+scalars); the Hankel set-up, which the oracle runs on node arrays, updates
+its own buffers in place; the Miller loop's augmented assignments do both,
+in place on a node array and rebinding a lone point's numpy scalars.  A
+lone point and the same point in an array of one give the same bits.
 
 J_m(x) has two regimes: for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
 Hankel's asymptotic expansion and the upward recurrence to |m|, whose cost
-per point does not grow with x; below, the Miller loop, whose start order
-is then bounded by about max(ASYM_X_MIN, |m|).  Where |x| < sqrt(eps
-(|m|+1)) the leading term (x/2)^|m|/|m|! is J_m to rounding and stands in
-for the loop.  J_k and y_k = j_k(x)/x^k are the minimal solutions
-of J_{k-1} = 2k/x J_k - J_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1};
-they share one Miller loop, each with its own normalization, and J_k and
-j_k above their Miller regimes share one upward recurrence.  Each loop
-returns the band of orders lo..hi it passes on one pass, and the regime is
-picked from hi: J_m and j_n are one-order bands, and the derivatives take
-their neighbouring orders from one band.  The J_m loops also run a block
-of cases at once, one order per case, for the quadrature oracle's sweeps:
-each case enters the Miller loop at its own start order and Horner's loop
-at its own Hankel term count, so it keeps the bits of its own call.  The
-Miller loop rescales by counted powers of two, so each order of a
-spherical band, and j_n(x)/x^p, is a mantissa and its own binary
-exponent, rounded once, and never passes through a j_n or x^p outside the
-double range.  The P_n^m degree recurrence is the only Legendre evaluator
-in the package; the quadrature oracle builds its rules from the
-recurrence coefficients of its Jacobi-Kronrod matrix instead.
+per point does not grow with x; below, x = 0 included, the Miller loop,
+whose start order is then bounded by about max(ASYM_X_MIN, |m|).
+g_k = J_k(x)/x^k and y_k = j_k(x)/x^k are the minimal solutions of
+g_{k-1} = 2k g_k - x^2 g_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1},
+which divide by nothing; they share one Miller loop, each with its own
+normalization, and J_k and j_k above their Miller regimes share one
+upward recurrence.  Each loop returns the band of orders lo..hi it passes
+on one pass, and the regime is picked from hi: J_m and j_n are one-order
+bands, and the derivatives take their neighbouring orders from one band.
+The J_m loops also run a block of cases at once, one order per case, for
+the quadrature oracle's sweeps: each case enters the Miller loop at its
+own start order and Horner's loop at its own Hankel term count, so it
+keeps the bits of its own call.  The Miller loop rescales by counted
+powers of two, so each order of its band, J_k = x^k g_k and j_n(x)/x^p,
+is a mantissa and its own binary exponent, rounded once, and never passes
+through a g_k, j_n or x^p outside the double range.  The P_n^m degree
+recurrence is the only Legendre evaluator in the package; the quadrature
+oracle builds its rules from the recurrence coefficients of its
+Jacobi-Kronrod matrix instead.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -133,9 +133,12 @@ def _legendre_scaled(n, m, x):
     # < 2^10 times sqrt((k+a)!/(k-a)!) (addition theorem) and, per point,
     # (1-x^2)^(a/2) (k+a)!/((k-a)! 2^a a!) (DLMF 18.14.4 for P_k^a as a
     # Gegenbauer C_{k-a}^(a+1/2)), so the seed 2^-e keeps it under 2^1020
-    # and P_a^a normal; e = 0 where the first bound fits.  Negative orders
-    # take A&S 8.2.5, and powers of two scale exactly: wherever the plain
-    # formula stays in the normal range, mant * 2^e is its result bit for bit.
+    # and P_a^a normal; e = 0 where the first bound fits.  Where P_a^a =
+    # (2a-1)!! (1-x^2)^(a/2) is below 2^-1000 (1-x^2 near eps, large a),
+    # the seed lifts it by up to 2^1000 rather than start subnormal.
+    # Negative orders take A&S 8.2.5, and powers of two scale exactly:
+    # wherever the plain formula stays in the normal range, mant * 2^e is
+    # its result bit for bit.
     if n < 0:
         raise ValueError(f"degree must be non-negative (got n={n})")
     if abs(m) > n:
@@ -145,12 +148,15 @@ def _legendre_scaled(n, m, x):
         raise ValueError("argument must lie in [-1, 1]")
     a = abs(m)
     bound = (math.lgamma(n + a + 1) - math.lgamma(n - a + 1)) / math.log(4.0)
+    odd = (math.lgamma(2 * a + 1) - math.lgamma(a + 1)) / math.log(2.0) - a
     e, seed = 0, 1.0
-    if bound > 1010.0:
+    eps = float(np.finfo(arr.dtype).eps)  # 1 - x^2 >= eps where |x| < 1
+    if bound > 1010.0 or odd + 0.5 * a * math.log2(eps) < -1000.0:
         with np.errstate(divide="ignore"):  # log 0 = -inf at x = +-1
-            near = (2.0 * bound - a - math.lgamma(a + 1) / math.log(2.0)
-                    + 0.5 * a * np.log2((1.0 - arr) * (1.0 + arr)))
-        e = np.maximum(np.ceil(np.minimum(near, bound)) - 1010, 0).astype(int)
+            half = 0.5 * a * np.log2((1.0 - arr) * (1.0 + arr))
+        near = 2.0 * bound - a - math.lgamma(a + 1) / math.log(2.0) + half
+        e = np.ceil(np.minimum(near, bound)) - 1010
+        e = np.maximum(e, np.where(odd + half < -1000.0, -1000, 0)).astype(int)
         seed = np.ldexp(1.0, -e)
     mant = _legendre_upward(n, a, arr, seed)
     if m < 0:
@@ -191,13 +197,12 @@ def bessel_j(m, x):
 
     Two regimes, by |x|: for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
     Hankel's asymptotic expansion and the upward recurrence to |m|, O(|m|)
-    per point; below, Miller downward recurrence with the
-    J_0 + 2 sum J_{2k} = 1 normalization.  Where |x| < sqrt(eps (|m|+1)),
-    x = 0 included, the leading term (x/2)^|m| / |m|! is J_m to rounding
-    and stands in for the Miller loop, whose steps 2k/x f_k would overflow
-    near x = 0.  Values below the normal range of x's dtype come out
-    subnormal or 0.  Negative orders use J_{-m}(x) = (-1)^m J_m(x).  A
-    non-integral order raises ValueError.
+    per point; below, x = 0 included, Miller downward recurrence on
+    g_k = J_k/x^k, g_{k-1} = 2k g_k - x^2 g_{k+1}, which divides by nothing,
+    with Neumann's g_0 + 2 sum x^(2k) g_{2k} = 1 normalization, and
+    J_m = x^|m| g_|m| rounded once.  Values below the normal range of x's
+    dtype come out subnormal or 0.  Negative orders use
+    J_{-m}(x) = (-1)^m J_m(x).  A non-integral order raises ValueError.
     """
     m = _integer(m, "order", "m")
     arr, scalar = _as_array(x, "bessel_j")
@@ -226,22 +231,17 @@ def _bessel_band(lo, hi, x, sizes=None):
     # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, the
     # regime picked by hi.  With ``sizes``, x holds several cases end to
     # end, sizes[i] >= 1 points of case i, and lo and hi one order per case
-    # (hi - lo the same for all): each case takes its regimes from its own
-    # orders, and its rows keep the bits of its own call.  Below
-    # sqrt(eps (lo+1)) the leading term holds for every order of the band:
-    # its neglected term x^2/(4(k+1)) is below eps/4 for k >= lo.
-    eps = float(np.finfo(x.dtype).eps)
+    # (hi - lo the same for all): each case takes its regime from its own
+    # hi, and its rows keep the bits of its own call.
     if sizes is None:
         count = hi - lo + 1
-        tiny, asym = x < math.sqrt(eps * (lo + 1.0)), x >= max(ASYM_X_MIN, hi)
+        asym = x >= max(ASYM_X_MIN, hi)
     else:
         lo, hi, sizes = np.asarray(lo), np.asarray(hi), np.asarray(sizes)
         count = int(hi[0] - lo[0]) + 1
-        tiny = x < np.repeat(np.sqrt(eps * (lo + 1.0)), sizes)
         asym = x >= np.repeat(np.maximum(ASYM_X_MIN, hi), sizes)
     out = [np.empty_like(x) for _ in range(count)]
-    for mask, regime in ((tiny, _bessel_leading_band), (asym, _bessel_hankel),
-                         (~(tiny | asym), _bessel_miller)):
+    for mask, regime in ((asym, _bessel_hankel), (~asym, _bessel_miller)):
         if mask.any():
             for row, val in zip(out, regime(*_subset(mask, lo, hi, x, sizes))):
                 row[mask] = val
@@ -312,36 +312,28 @@ def _case_reduce(ufunc, x, sizes):
     return ufunc.reduceat(x, np.cumsum(sizes) - sizes)
 
 
-def _bessel_leading_band(lo, hi, x, sizes=None):
-    _, _, taken, count = _cases(lo, hi, sizes)
-    rows = _new_rows(count, x, sizes, x.dtype)
-    for k, parts in taken.items():
-        value = _bessel_leading(k, x)
-        for j, sl in parts:
-            _put(rows, j, sl, value)
-    return rows
-
-
 def _bessel_miller(lo, hi, x, sizes=None):
-    # Miller, normalized by Neumann's J_0 + 2 sum_{k>=1} J_{2k} = 1.
-    vals, j0, _, even_sum, drops = _backward(lo, hi, x, 0, sizes)
-    norm = 2.0 * even_sum + j0
-    return [np.ldexp(val / norm, -_RESCALE_BITS * drop)
-            for val, drop in zip(vals, drops)]
+    # J_k = x^k g_k from the Miller loop on g_k = J_k/x^k, normalized by
+    # Neumann's g_0 + 2 sum x^(2k) g_{2k} = 1.  Every step takes the same
+    # rounding of x^2, about x eps/2 of J's envelope (1.9e-15 near x = 24);
+    # g_k - (e/2) g_{k+1}, e = x^2 - fl(x^2), steps back to x^2 (DLMF
+    # 10.6.6).  x^k enters through _times_power, rounded once, with per-point
+    # exponents for one case and a block alike: numpy squares a scalar 2,
+    # which can round apart.
+    vals, above, g0, _, even_sum, drops = _backward(lo, hi, x, 0, sizes)
+    half_err = 0.5 * _square_error(x)
+    norm = 2.0 * even_sum + g0
+    orders = np.broadcast_to(_per_point(lo, sizes), x.shape)
+    return [np.ldexp(*_times_power(
+        *_normalized(val - half_err * nxt, drop, norm), x, orders + j))
+            for j, (val, nxt, drop) in enumerate(zip(vals, above, drops))]
 
 
-def _bessel_leading(m, x):
-    # (x/2)^m / m!, whose neglected relative term is x^2/(4(m+1)).
-    # 1/(2^m m!) leaves the double range at m = 171, so it is q * 2^-shift,
-    # q from exact integers: 71 bits in two parts the dtype holds exactly.
-    # frexp splits x^m into mant^m and 2^(m e), and ldexp rounds the product
-    # into the dtype's range once.
-    f = math.factorial(m) << m
-    shift = f.bit_length() + 70
-    hi, lo = divmod((1 << shift) // f, 1 << 35)
-    q = x.dtype.type(hi) * 2.0 ** 35 + x.dtype.type(lo)
-    mant, e = np.frexp(x)
-    return np.ldexp(mant ** m * q, m * e - shift)
+def _normalized(val, drop, norm, factor=1.0):
+    # A Miller band row f_k / norm * factor as a mantissa and a binary
+    # exponent, net of the loop's ``drop`` rescales after passing k.
+    mant, e = np.frexp(val / norm * factor)
+    return mant, e - _RESCALE_BITS * drop
 
 
 def _bessel_hankel(lo, hi, x, sizes=None):
@@ -401,11 +393,11 @@ def _upward(lo, hi, x, f0, f1, shift, sizes=None):
     # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
     # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
     # the same relative error into every step's coefficient, 4-6x the error
-    # near x = k and, in the Miller loop, k eps where x << k.  Updates are
-    # in place, so the loop holds three arrays; a single point steps as
-    # numpy scalars, which rebind instead: as a one-element array, a lone
-    # j_20(33.3) took 2.7 times as long and j_150(400) 7 times.  In a block
-    # the loop runs to the highest hi, each case taking its own band.
+    # near x = k.  Updates are in place, so the loop holds three arrays; a
+    # single point steps as numpy scalars, which rebind instead: as a
+    # one-element array, a lone j_20(33.3) took 2.7 times as long and
+    # j_150(400) 7 times.  In a block the loop runs to the highest hi, each
+    # case taking its own band.
     _, his, taken, count = _cases(lo, hi, sizes)
     band = _new_rows(count, x, sizes, x.dtype)
     if x.size == 1:
@@ -447,80 +439,76 @@ _HANKEL_LOG = np.log(np.abs(_HANKEL_PQ).astype(float))
 
 
 def _backward(lo, hi, x, shift, sizes=None):
-    # Miller's backward recurrence for a minimal solution, up to one factor
-    # per element: shift 0 runs f_{k-1} = 2k/x f_k - f_{k+1} (J_k), shift 1
-    # f_{k-1} = (2k+1) f_k - x^2 f_{k+1} (y_k = j_k(x)/x^k; Gil, Segura &
-    # Temme 2007), which divides by nothing and is exact at x = 0.  The loop
-    # starts at _miller_start for the eps of x's dtype, from the largest x
-    # and hi; in a block (``sizes``, as in _bessel_band) each case's slice
-    # holds zeros, which the loop keeps exactly zero, until the step of its
-    # own start, where it takes the seed a one-case call starts from.
-    # Returns the band [f_lo, ..., f_hi] the loop passes on its way down,
-    # f_0, f_1, sum_{k>=1} f_{2k} (shift 0's normalization; zeros for shift
-    # 1, sparing it an array add every other step) and one drop per band
-    # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
-    # f_1 and the sum, the rescales the loop made after passing k.
+    # Miller's backward recurrence f_{k-1} = (2k+shift) f_k - x^2 f_{k+1}
+    # for its minimal solution, up to one factor per element: g_k =
+    # J_k(x)/x^k at shift 0 (DLMF 10.6.1 divided by x^(k-1)) and y_k =
+    # j_k(x)/x^k at shift 1 (Gil, Segura & Temme 2007).  It divides by
+    # nothing, so it is exact at x = 0.  The loop starts at _miller_start
+    # for the eps of x's dtype, from the largest x and hi; in a block
+    # (``sizes``, as in _bessel_band) each case's slice holds zeros, which
+    # the loop keeps exactly zero, until the step of its own start, where
+    # it takes the seed a one-case call starts from.  Returns the band
+    # [f_lo, ..., f_hi] the loop passes on its way down, the f_{k+1} beside
+    # each f_k (on its scale), f_0, f_1, sum_{k>=1} x^(2k) f_{2k} (Neumann's
+    # sum for g, summed by Horner's rule; zeros for y, which does not use
+    # it) and one drop per band order: f_k is 2^(_RESCALE_BITS * drop)
+    # times the common scale of f_0, f_1 and the sum, the rescales the loop
+    # made after passing k.
     slices, his, taken, count = _cases(lo, hi, sizes)
     xmaxs = [float(v) for v in _case_reduce(np.maximum, x, sizes)]
     starts = [_miller_start(max(b, math.ceil(xmax), 1), x.dtype)
               for b, xmax in zip(his, xmaxs)]
+    top = max(starts)
     # events[k]: the case slices that start at step k (in a block) and the
     # (row, slice) pairs that take f_{k-1} into the band.
     events = {k + 1: ([], parts) for k, parts in taken.items()}
     if sizes is not None:
         for sl, start in zip(slices, starts):
             events.setdefault(start, ([], ()))[0].append(sl)
-    # The spherical loop's callers pass one j_n(R) at a time, so each step
-    # makes one new value and rebinds, and a lone point steps as numpy
-    # scalars: as a one-element array, a lone j_20(5) took about twice as
-    # long.  The cylindrical loop's callers pass node arrays, so it steps
-    # in place through three buffers and copies the band orders out: out of
-    # place, bessel_j(7, x) on 1000 points in (0, 24) took 21 % longer
-    # (median of 30 alternating rounds) and sweep ran 4 % slower (median of
-    # 8 pairs).
-    if shift:
-        xmax = max(xmaxs)
-        a, b = 1.0, xmax * xmax
-        if x.size == 1:
-            x = x.reshape(())[()]
-        x2 = x * x
-    else:
-        a, b = 1.0 / float(x.min()), 1.0
-        spare = np.empty_like(x)
+    # The steps that pass an even order k - 1 >= 2, for g's sum.
+    sum_steps = () if shift else range(3, top + 1, 2)
+    # Each step updates f_{k+1}'s buffer into f_{k-1} and swaps, so a node
+    # array steps in place and a lone point, as numpy scalars, rebinds:
+    # as a one-element array, a lone j_20(5) took about twice as long, and
+    # out of place, bessel_j(7, x) on 1000 points in (0, 24) took 21 %
+    # longer.  -(x^2) f_{k+1} + (2k+shift) f_k rounds as (2k+shift) f_k -
+    # x^2 f_{k+1} does: negation is exact.
+    if x.size == 1:
+        x = x.reshape(())[()]
+    x2 = x * x
+    neg_x2 = -x2
     fk = x * 0.0 + (1e-30 if sizes is None else 0.0)
     fkp1, even_sum = x * 0.0, x * 0.0
     # band[j] was passed when ``drops`` stood at marks[j]; counting the
     # rescales once and subtracting at the end is exact in integers.
     band = _new_rows(count, x, sizes, x.dtype)
+    above = _new_rows(count, x, sizes, x.dtype)
     marks, drops = _new_rows(count, x, sizes, int), 0
     # The rescale test must act as if it ran on every step: skipping a step
-    # where it fires moves the rescale points and with them the last bits of
-    # J_m.  bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which
-    # the 1e-3 margin absorbs, so the test runs only where it could fire.
-    # A case that starts later enters below the bound, as its seed is.
+    # where it fires moves the rescale points and with them the last bits.
+    # bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which the
+    # 1e-3 margin absorbs, so the test runs only where it could fire.  A
+    # case that starts later enters below the bound, as its seed is.
+    b = max(xmaxs) ** 2
     bk, bkp1 = 1e-30, 0.0
-    for k in range(max(starts), 0, -1):
+    for k in range(top, 0, -1):
         event = events.get(k)
         if event:
             for sl in event[0]:
                 fk[sl] = 1e-30
-        if shift:
-            nxt = (2.0 * k + 1.0) * fk - x2 * fkp1
-        else:
-            # 2k/x is rounded once per step, for the reason given in _upward
-            nxt = np.divide(2.0 * k, x, out=spare)
-            nxt *= fk
-            nxt -= fkp1
-            spare = fkp1
-        fk, fkp1 = nxt, fk
-        bk, bkp1 = (2.0 * k + shift) * a * bk + b * bkp1, bk
+        fkp1 *= neg_x2
+        fkp1 += (2.0 * k + shift) * fk
+        fk, fkp1 = fkp1, fk
+        bk, bkp1 = (2.0 * k + shift) * bk + b * bkp1, bk
         if event:
             for j, sl in event[1]:
-                # a one-case call keeps the loop's buffer, which moves on
-                _put(band, j, sl, fk.copy() if sl is None and not shift else fk)
+                # a one-case call keeps copies of the buffers, which move on
+                _put(band, j, sl, fk.copy() if sl is None else fk)
+                _put(above, j, sl, fkp1.copy() if sl is None else fkp1)
                 _put(marks, j, sl, drops)
-        if shift == 0 and (k - 1) % 2 == 0 and k > 1:
+        if k in sum_steps:
             even_sum += fk
+            even_sum *= x2
         if bk > 1e-3 * _RESCALE_LIMIT:
             clip = np.abs(fk) > _RESCALE_LIMIT
             if clip.any():
@@ -530,7 +518,16 @@ def _backward(lo, hi, x, shift, sizes=None):
                 even_sum = even_sum * f
                 drops = drops + clip
             bk = min(bk, _RESCALE_LIMIT)
-    return band, fk, fkp1, even_sum, [drops - mark for mark in marks]
+    return band, above, fk, fkp1, even_sum, [drops - mark for mark in marks]
+
+
+def _square_error(x):
+    # x^2 - fl(x^2) to about 2^(-p/2) of itself for p-bit x: Veltkamp's
+    # split x = hi + lo (Dekker 1971) makes hi*hi - fl(x^2) exact, and
+    # lo (hi + x) = x^2 - hi^2 rounds twice.
+    c = x * (2.0 ** ((np.finfo(x.dtype).nmant + 2) // 2) + 1.0)
+    hi = c - (c - x)
+    return (hi * hi - x * x) + (x - hi) * (hi + x)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -646,14 +643,13 @@ def _sph_band(orders, x):
     down = ~up
     if down.any():
         xs, a, b = x[down], j0[down], j1[down]
-        vals, f0, f1, _, drops = _backward(lo, hi, xs, 1)
+        vals, _, f0, f1, _, drops = _backward(lo, hi, xs, 1)
         use1 = np.abs(b) > np.abs(a)
         y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
         norm = np.where(use1, f1 * xs, f0)
         for row, row_e, k in zip(mant, e, orders):
-            md, ed = np.frexp(vals[k - lo] / norm * y)
-            row[down] = md
-            row_e[down] = ed - _RESCALE_BITS * drops[k - lo]
+            row[down], row_e[down] = _normalized(vals[k - lo], drops[k - lo],
+                                                 norm, y)
     return mant, e, up
 
 

@@ -787,3 +787,18 @@ class TestRendering:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["re"] == 2
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader takes 10 bytes of a ~340 KB table and closes its end,
+        # as `| head -c 10` does; the table is far past a pipe's buffer, so
+        # the writer meets the closed pipe.  Exit 141, no traceback.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lbk", "table", "--n-max", "40",
+             "--all-m", "--R", "3", "--R", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'[{"n":0,"m'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert stderr == b""

@@ -432,8 +432,8 @@ class TestIntegrateDIdR:
     def test_matches_closed_form_across_orders_and_regimes(self, n, m, alpha,
                                                            R):
         # The Bessel argument R sin(alpha) sqrt(1 - u^2) sweeps [0,
-        # R sin(alpha)], so these cases put nodes in the leading-term,
-        # Miller and Hankel regimes of the band J_{|m|-1}..J_{|m|+1}.
+        # R sin(alpha)], so these cases put nodes in the Miller regime,
+        # down to 0, and the Hankel regime of the band J_{|m|-1}..J_{|m|+1}.
         p = IntegralParams(n, m, alpha, R)
         q = integrate_dI_dR(p)
         exact = closed_form_dI_dR(p)

@@ -174,6 +174,27 @@ class TestAssocLegendre:
             for m in (-170, -151, -100):
                 assert np.all(np.abs(assoc_legendre(170, m, x)) <= 1.0)
 
+    @pytest.mark.parametrize("n, m, alpha", [
+        (170, 90, 4e-6), (170, 100, 1e-5), (160, 135, 3e-5),
+        (141, 139, 4.8065705968281075e-05)])
+    def test_tiny_sine_keeps_precision(self, n, m, alpha):
+        # Near x = +-1 at large |m|, P_m^m = (2m-1)!! (1-x^2)^(m/2) falls
+        # below the normal range although P_n^m need not: seeded subnormal,
+        # P_170^90(cos 4e-6) came out 3e-3 off.  Against the same
+        # recurrence in mpmath at 80 digits; P_141^139 here is subnormal.
+        x = math.cos(alpha)
+        with mpmath.workdps(80):
+            mx = mpmath.mpf(x)
+            s = mpmath.sqrt((1 - mx) * (1 + mx))
+            prev = mpmath.fprod(-(2 * i + 1) * s for i in range(m))
+            want = (2 * m + 1) * mx * prev
+            for k in range(m + 2, n + 1):
+                prev, want = want, ((2 * k - 1) * mx * want
+                                    - (k + m - 1) * prev) / (k - m)
+            err = abs(mpmath.mpf(assoc_legendre(n, m, x)) - want)
+            half_step = _to_mp(np.finfo(float).smallest_subnormal) / 2
+            assert err <= 1e-13 * abs(want) + half_step, (n, m, alpha)
+
     def test_array_matches_scalars(self):
         x = np.array([-0.7, 0.0, 0.3, 1.0])
         got = assoc_legendre(7, 4, x)
@@ -291,13 +312,32 @@ class TestBesselJ:
                 assert big < start
                 assert abs(mpmath.besselj(start, big)) <= eps, big
 
+    @pytest.mark.parametrize("dtype, bound", [
+        (np.float64, 1.5e-15),
+        pytest.param(np.longdouble, 1e-18, marks=_EXTENDED_ONLY),
+    ])
+    def test_miller_regime_against_mpmath(self, dtype, bound):
+        # |error| <= bound * min(1, sqrt(2/(pi x))) on (0, 25), README's
+        # bound for the Miller regime, on a log grid below 1 and a grid of
+        # step 1/8 above.  The loop runs on fl(x^2); without its one Taylor
+        # step back to x^2 the double maximum here is 1.9e-15, near x = 24.
+        x = np.concatenate([np.geomspace(1e-3, 1.0, 25),
+                            np.linspace(0.0, 25.0, 201)[1:-1]]).astype(dtype)
+        for m in (0, 1, 2, 3, 5, 40, 100, 170, 171):
+            got = bessel_j(m, x)
+            with mpmath.workdps(40):
+                for g, v in zip(got, x):
+                    v = _to_mp(v)
+                    err = abs(_to_mp(g) - mpmath.besselj(m, v))
+                    envelope = min(1, mpmath.sqrt(2 / (mpmath.pi * v)))
+                    assert err <= bound * envelope, (m, v)
+
     @pytest.mark.parametrize("m", [10, 40, 100, 170])
     def test_miller_small_argument_against_mpmath(self, m):
         # x in (0, m/4], where J_m is far below 1 and the Miller loop runs
-        # about m steps above it.  With 2k/x rounded per step the relative
-        # error is a random walk of the steps' roundings, not a drift of
-        # m eps (a shared rounded 1/x reads median 6e-15, max 1.8e-14 at
-        # m = 170 here).
+        # about m steps above it.  The loop divides by nothing, so the
+        # relative error is a random walk of the steps' roundings, not a
+        # drift of m eps: maximum 2.6e-15 at m = 170 here.
         x = np.linspace(0.0, m / 4.0, 201)[1:]
         errs = []
         with mpmath.workdps(40):
@@ -307,15 +347,16 @@ class TestBesselJ:
                     errs.append(float(abs(_to_mp(g) - want) / abs(want)))
         assert len(errs) > 150
         assert np.median(errs) <= 1e-15
-        assert max(errs) <= 6e-15
+        assert max(errs) <= 3e-15
 
     @pytest.mark.parametrize("dtype", [
         np.float64, pytest.param(np.longdouble, marks=_EXTENDED_ONLY)])
     def test_tiny_and_zero_arguments(self, dtype):
-        # Below sqrt(eps (|m|+1)) the leading term (x/2)^|m|/|m|! stands in
-        # for the Miller loop, whose steps 2k/x f_k would overflow; 171! is
-        # past the double range.  Values below the dtype's normal range
-        # come out 0 or subnormal, within one subnormal step.
+        # The Miller loop runs on J_k/x^k, whose recurrence divides by
+        # nothing, so it holds down to x = 0; 1/(2^171 171!) is past the
+        # double range, so x^|m| enters as a mantissa and an exponent.
+        # Values below the dtype's normal range come out 0 or subnormal,
+        # within one subnormal step.
         x = np.array([0.0, 5e-324, 1e-300, 1e-60, 1e-12, 1e-8])
         x = np.concatenate([x, -x]).astype(dtype)
         info = np.finfo(dtype)
@@ -341,8 +382,8 @@ class TestBesselJ:
            | st.floats(-1e-6, 1e-6))
     @settings(max_examples=300, deadline=None)
     def test_three_term_property(self, m, x):
-        # Over the documented domain, across the leading-term, Miller and
-        # Hankel boundaries: finite, |J_m| <= 1, and
+        # Over the documented domain, across the Miller and Hankel
+        # boundary and down to x = 0: finite, |J_m| <= 1, and
         # 2m J_m = x (J_{m-1} + J_{m+1}) to 1e-12 of the largest term.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -372,7 +413,7 @@ class TestBesselJ:
     @given(st.lists(
         st.tuples(st.integers(-170, 170), st.lists(
             st.just(0.0)
-            | st.floats(0.0, 1e-9)      # leading term
+            | st.floats(0.0, 1e-9)      # Miller, x^2 below eps
             | st.floats(1e-7, 2.0)      # Miller, rescaled at large |m|
             | st.floats(0.0, 24.9)      # Miller
             | st.floats(25.0, 1e3),     # Hankel above max(25, |m|)
@@ -758,7 +799,7 @@ _SPHERICAL = [(spherical_bessel_j, (9,)), (spherical_bessel_j_prime, (9,)),
 
 
 @pytest.mark.parametrize("fn, args, x", [
-    (bessel_j, (3,), 1e-12),    # leading term
+    (bessel_j, (3,), 1e-12),    # Miller, x^2 below eps
     (bessel_j, (3,), 3.0),      # Miller
     (bessel_j, (3,), 40.0),     # Hankel
     (bessel_j, (-5,), 3.0),
