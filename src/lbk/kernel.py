@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .specfun import (
     FACTORIAL_N_CAP,
     _legendre_scaled,
+    _negative_order,
     _rounded,
     _scaled_factorial_ratio,
     _sph_ratio_scaled,
@@ -92,10 +93,10 @@ def closed_form_row(n, ms, alpha, R):
     checks (n, alpha, R) by those ranges, raising their ValueError, and
     evaluates cos(alpha) and j_n(R) once.  P_n^{|m|}(cos alpha) is
     evaluated on the first step that yields order m or -m, and the other
-    sign reuses it with the factor ``_legendre_scaled`` applies, so the
-    bits are the same and a row never advanced does no work.  The step of
-    an order outside |m| <= n raises the ValueError naming that m, and the
-    step of an order whose value leaves the double range raises
+    sign reuses it through ``_negative_order``, as ``_legendre_scaled``
+    does, so the bits are the same and a row never advanced does no work.
+    The step of an order outside |m| <= n raises the ValueError naming that
+    m, and the step of an order whose value leaves the double range raises
     OverflowError, as ``closed_form_I`` does; every order before either has
     been yielded.
     """
@@ -113,8 +114,7 @@ def closed_form_row(n, ms, alpha, R):
             legendre[a] = float(p), int(e)
         p, e = legendre[a]
         if m < 0:
-            ratio, e_ratio = _scaled_factorial_ratio(n, a)
-            p, e = (1.0 if a % 2 == 0 else -1.0) / ratio * p, e - e_ratio
+            p, e = _negative_order(n, a, p, e)
         yield _rounded(2.0 * i_phase(n - m) * p * j, e + e_j,
                        _OVERFLOW, "I", n, m, alpha, R)
 

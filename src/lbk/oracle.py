@@ -47,10 +47,10 @@ target can be luck, so a pass whose floor crowds the target is accepted
 only where its value also agrees with the layout of half its panels.
 
 Sweeps make many small ``integrate_I`` calls, where numpy's per-call cost
-dominates.  Inside a block (``_seeded``), the float64 seed passes of a run
-of cases are evaluated together, in one set of numpy calls, each with the
-bits of its own call; each case's call then takes its seed pass from the
-block and refines it alone.  Outside a block, a call is a block of one.
+dominates.  Inside a block (``_blocks``, ``_seeded``), the float64 seed
+passes of a run of cases are evaluated together, in one set of numpy calls,
+each with the bits of its own call; each case's call then takes its seed
+pass from the block and refines it alone, as a call outside a block does.
 """
 
 import contextlib
@@ -465,13 +465,15 @@ _BLOCK_NODES = 8192
 
 def _blocks(cases, spec):
     # Consecutive runs of ``cases`` whose seed passes hold at most
-    # _BLOCK_NODES nodes together, or one case.
+    # _BLOCK_NODES nodes together, or one case, as one past MAX_NODES is.
     width = 2 * spec.nodes_per_panel + 1
     block, held = [], 0
     for p in cases:
-        panels = (spec.base_panels if spec.base_panels is not None
-                  else _auto_panels(p.R, p.n))
-        nodes = (panels * width + panels % 2) // 2
+        try:
+            panels = _seed_panels(spec, _auto_panels(p.R, p.n))
+            nodes = (panels * width + panels % 2) // 2
+        except ValueError:
+            nodes = _BLOCK_NODES + 1
         if block and held + nodes > _BLOCK_NODES:
             yield block
             block, held = [], 0
@@ -484,10 +486,9 @@ def _blocks(cases, spec):
 @contextlib.contextmanager
 def _seeded(cases, spec):
     # A block: within it, integrate_I(p, spec) for p in ``cases`` starts
-    # from a seed pass evaluated with all the others (_seed_passes); a
-    # block of one is its lone call.  The seeds are dropped when the block
-    # ends, whether or not it raised.
-    token = _SEEDS.set(_seed_passes(cases, spec) if len(cases) > 1 else None)
+    # from a seed pass evaluated with all the others (_seed_passes).  The
+    # seeds are dropped when the block ends, whether or not it raised.
+    token = _SEEDS.set(_seed_passes(cases, spec))
     try:
         yield
     finally:

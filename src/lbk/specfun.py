@@ -156,14 +156,18 @@ def _legendre_scaled(n, m, x):
             half = 0.5 * a * np.log2((1.0 - arr) * (1.0 + arr))
         near = 2.0 * bound - a - math.lgamma(a + 1) / math.log(2.0) + half
         e = np.ceil(np.minimum(near, bound)) - 1010
-        e = np.maximum(e, np.where(odd + half < -1000.0, -1000, 0)).astype(int)
+        e = np.maximum(e, -1000 * (odd + half < -1000.0)).astype(np.int32)
         seed = np.ldexp(1.0, -e)
     mant = _legendre_upward(n, a, arr, seed)
     if m < 0:
-        ratio, e_ratio = _scaled_factorial_ratio(n, a)
-        mant = (1.0 if a % 2 == 0 else -1.0) / ratio * mant
-        e = e - e_ratio
+        mant, e = _negative_order(n, a, mant, e)
     return mant, e, scalar
+
+
+def _negative_order(n, a, mant, e):
+    # P_n^{-a} = (-1)^a (n-a)!/(n+a)! P_n^a (A&S 8.2.5), each as mant * 2^e.
+    ratio, e_ratio = _scaled_factorial_ratio(n, a)
+    return (1.0 if a % 2 == 0 else -1.0) / ratio * mant, e - e_ratio
 
 
 def _legendre_upward(n, m, x, seed):
@@ -483,7 +487,7 @@ def _backward(lo, hi, x, shift, sizes=None):
     # rescales once and subtracting at the end is exact in integers.
     band = _new_rows(count, x, sizes, x.dtype)
     above = _new_rows(count, x, sizes, x.dtype)
-    marks, drops = _new_rows(count, x, sizes, int), 0
+    marks, drops = _new_rows(count, x, sizes, np.int32), np.int32(0)
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits.
     # bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which the
@@ -634,7 +638,7 @@ def _sph_band(orders, x):
         j0 = np.sin(x) / x
         j1 = (j0 - np.cos(x)) / x
     mant = [np.empty_like(x) for _ in orders]
-    e = [np.zeros(x.shape, dtype=int) for _ in orders]
+    e = [np.zeros(x.shape, dtype=np.int32) for _ in orders]
     up = x >= max(hi, 1)
     if up.any():
         band = _upward(lo, hi, x[up], j0[up], j1[up], 1)
@@ -657,6 +661,7 @@ def _times_power(mant, e, x, q):
     # (mant, e) times x^q: frexp(x)'s mantissa^c and exponent*c, |c| <= 1000
     # per step, so no factor leaves the double range.
     mx, ex = np.frexp(x)
+    q = q.astype(np.int32)
     while q.any():
         c = np.minimum(np.maximum(q, -1000), 1000)
         mant, de = np.frexp(mant * mx ** c)

@@ -5,10 +5,10 @@ deterministically from a seed, compares the closed form against the
 quadrature oracle case by case and aggregates the failures.  The draw uses
 CPython's ``random.Random`` (MT19937) through ``random()`` only, with the
 mapping documented in ``draw_cases``, so any implementation of the same
-generator reproduces the sweep bit for bit.  The cases run in blocks of
-consecutive cases whose oracle seed passes are evaluated together
-(``oracle._seeded``); each case still gets the report of its own lone
-``check_identity`` call, bit for bit.
+generator reproduces the sweep bit for bit.  The case list is cut once into
+blocks of consecutive cases whose oracle seed passes are evaluated together
+(``oracle._blocks``, ``oracle._seeded``); each case still gets the report
+of its own lone ``check_identity`` call, bit for bit.
 
 Residual checks normalize by 1 + (largest term modulus): relative where the
 recurrence terms are large, absolute where they all vanish together (for
@@ -184,33 +184,26 @@ def check_identity(p, spec=QuadratureSpec(), abs_tol=SweepConfig.abs_tol,
                       quad.converged)
 
 
-def _check_cases(cases, spec, abs_tol, rel_tol):
-    # check_identity over consecutive cases, one oracle block
-    # (oracle._seeded) at a time.
-    reports = []
-    for block in _blocks(cases, spec):
-        with _seeded(block, spec):
-            reports += [check_identity(p, spec, abs_tol, rel_tol)
-                        for p in block]
-    return reports
+def _check_block(block, spec, abs_tol, rel_tol):
+    # check_identity over one oracle block (oracle._seeded).
+    with _seeded(block, spec):
+        return [check_identity(p, spec, abs_tol, rel_tol) for p in block]
 
 
 def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
     """Run ``check_identity`` over the seeded case list and aggregate.
 
-    Cases run independently (optionally in a process pool, in chunks of
-    consecutive cases, each split into oracle blocks of at most
-    ``oracle._BLOCK_NODES`` seed nodes); the report is assembled in case
-    order, so equal seeds give equal reports apart from ``wall_time``
-    regardless of scheduling or blocking.
+    A process pool maps the cases' oracle blocks (``oracle._blocks``) where
+    there is more than one worker and more than one block; otherwise the
+    blocks run in order in-process.  The report is assembled in case order,
+    so equal seeds give equal reports apart from ``wall_time``.
     """
     start = time.perf_counter()
-    cases = draw_cases(cfg)
-    run = partial(_check_cases, spec=spec, abs_tol=cfg.abs_tol,
+    blocks = list(_blocks(draw_cases(cfg), spec))
+    run = partial(_check_block, spec=spec, abs_tol=cfg.abs_tol,
                   rel_tol=cfg.rel_tol)
     nworkers = resolve_workers(workers)
-    if nworkers > 1 and cfg.cases > 8:
-        chunk = max(1, cfg.cases // (8 * nworkers))
+    if nworkers > 1 and len(blocks) > 1:
         # Built once here, the rule reaches every forked worker in its
         # cache instead of being rebuilt by each.
         _gk_rule(spec.nodes_per_panel, np.float64)
@@ -219,11 +212,10 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            reports = [r for part in pool.map(
-                run, [cases[i:i + chunk] for i in range(0, len(cases), chunk)])
-                for r in part]
+            parts = list(pool.map(run, blocks))
     else:
-        reports = run(cases)
+        parts = map(run, blocks)
+    reports = [r for part in parts for r in part]
     failures = tuple(r for r in reports if not r.passed)
     return SweepReport(
         config=cfg,

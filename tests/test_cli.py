@@ -573,12 +573,14 @@ class TestTableRows:
 
 def test_table_and_import_leave_the_process_pool_unloaded():
     # Only a pooled sweep imports concurrent.futures.process, and with it
-    # multiprocessing; eval, quad and table processes skip that import.
-    # Likewise only CSV output loads csv and only bench loads statistics.
+    # multiprocessing; eval, quad and table processes, and a sweep of one
+    # oracle block, skip that import.  Likewise only CSV output loads csv
+    # and only bench loads statistics.
     script = """
 import contextlib, io, sys
 import lbk.cli
-from lbk.verify import SweepConfig, sweep_random
+from lbk.oracle import _blocks
+from lbk.verify import SWEEP_ORACLE_SPEC, SweepConfig, draw_cases, sweep_random
 lazy = ("multiprocessing", "concurrent.futures.process", "csv", "statistics")
 def loaded():
     return [name for name in lazy if name in sys.modules]
@@ -589,8 +591,11 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     code = lbk.cli.main(["table", "--n-max", "1", "--R", "0",
                          "--format", "csv"])
 print(code, loaded(), out.getvalue().splitlines()[:2])
-report = sweep_random(SweepConfig(seed=1, cases=9), workers=2)
-print(report.total, len(report.failures), loaded())
+for cases in 9, 40:
+    cfg = SweepConfig(seed=1, cases=cases)
+    blocks = len(list(_blocks(draw_cases(cfg), SWEEP_ORACLE_SPEC)))
+    report = sweep_random(cfg, workers=2)
+    print(blocks, report.total, len(report.failures), loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, LBK_WORKERS="2"),
@@ -600,7 +605,8 @@ print(report.total, len(report.failures), loaded())
         "0 []",
         "0 ['csv'] ['n,m,alpha,R,re,im,method,abs_err', "
         "'0,0,1,0,2,0,closed,']",
-        "9 0 ['multiprocessing', 'concurrent.futures.process', 'csv']"]
+        "1 9 0 ['csv']",
+        "2 40 0 ['multiprocessing', 'concurrent.futures.process', 'csv']"]
 
 
 class TestCsvMatchesJson:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -111,15 +112,62 @@ class TestCheckIdentity:
         assert rep.reason.startswith("oracle: P_n^m overflows")
 
 
+def _block_count(cfg, spec=SWEEP_ORACLE_SPEC):
+    return len(list(lbk.oracle._blocks(draw_cases(cfg), spec)))
+
+
+class _RecordingPool:
+    # Stands in for ProcessPoolExecutor: records each pool started and the
+    # tasks it maps, and runs them in-process.
+    def __init__(self, started, mapped):
+        self.started, self.mapped = started, mapped
+
+    def __call__(self, max_workers):
+        self.started.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.mapped.append(tasks)
+        return map(fn, tasks)
+
+
 class TestSweepRandom:
     def test_deterministic_and_scheduling_independent(self):
-        cfg = SweepConfig(seed=7, cases=24)
+        # 60 cases make three oracle blocks, which the pool maps
+        cfg = SweepConfig(seed=7, cases=60)
+        assert _block_count(cfg) > 1
         a = sweep_random(cfg, workers=1)
         b = sweep_random(cfg, workers=2)
-        assert a.total == b.total == 24
+        assert a.total == b.total == 60
         assert a.failures == b.failures == ()
         assert a.max_abs_err == b.max_abs_err
         assert a.max_rel_err == b.max_rel_err
+
+    def test_pool_maps_the_oracle_blocks(self, monkeypatch):
+        cfg = SweepConfig(seed=7, cases=60)
+        started, mapped = [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingPool(started, mapped))
+        assert sweep_random(cfg, workers=2).total == 60
+        assert started == [2]
+        assert mapped == [list(lbk.oracle._blocks(draw_cases(cfg),
+                                                  SWEEP_ORACLE_SPEC))]
+
+    def test_one_block_starts_no_pool(self, monkeypatch):
+        cfg = SweepConfig(seed=7, cases=24)
+        assert _block_count(cfg) == 1
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingPool(started, []))
+        assert sweep_random(cfg, workers=2).total == 24
+        assert started == []
 
     def test_small_sweep_passes(self):
         rep = sweep_random(SweepConfig(seed=42, cases=50), workers=1)
@@ -154,7 +202,8 @@ class TestOracleBlocks:
     def test_sweep_matches_lone_calls(self, cases, monkeypatch):
         # seed 11 at n <= 170: the fifth case raises in the oracle (P_n^m
         # overflows), and others escalate to longdouble and stay
-        # unconverged.  At 48 cases the pool's chunks hold 3 cases each.
+        # unconverged.  At 5 cases one oracle block, which no pool runs; at
+        # 48, ten, which the pool maps.
         cfg = SweepConfig(seed=11, cases=cases, n_max=170, R_max=50.0)
         spec = SWEEP_ORACLE_SPEC
         lone = [check_identity(p, spec, cfg.abs_tol, cfg.rel_tol)
@@ -170,9 +219,11 @@ class TestOracleBlocks:
             return gk_rule(n, dtype)
 
         monkeypatch.setattr(lbk.oracle, "_gk_rule", spy)
-        assert max(map(len, lbk.oracle._blocks(draw_cases(cfg), spec))) > 1
-        blocked = lbk.verify._check_cases(draw_cases(cfg), spec,
-                                          cfg.abs_tol, cfg.rel_tol)
+        blocks = list(lbk.oracle._blocks(draw_cases(cfg), spec))
+        assert len(blocks) == {5: 1, 48: 10}[cases]
+        assert max(map(len, blocks)) > 1
+        blocked = [r for block in blocks for r in lbk.verify._check_block(
+            block, spec, cfg.abs_tol, cfg.rel_tol)]
         # repr tells every bit of a float, the sign of zero included
         assert list(map(repr, blocked)) == list(map(repr, lone))
         assert any(longdouble) or not lbk.oracle._HAS_EXTENDED
@@ -188,6 +239,16 @@ class TestOracleBlocks:
             assert rep.max_rel_err == max(
                 r.rel_err for r in lone if r.rel_err is not None)
             assert lbk.oracle._SEEDS.get() is None
+
+    def test_case_past_node_cap_is_a_block_of_its_own(self):
+        spec = SWEEP_ORACLE_SPEC
+        small = IntegralParams(2, 1, 1.0, 2.0)
+        huge = IntegralParams(5, 2, 1.0, 1e300)
+        assert list(lbk.oracle._blocks([small, small, huge, small], spec)) == [
+            [small, small], [huge], [small]]
+        with lbk.oracle._seeded([huge], spec):
+            assert check_identity(huge, spec).reason.startswith(
+                "oracle: quadrature needs more than")
 
     def test_block_seeds_dropped_when_it_raises(self):
         cfg = SweepConfig(seed=11, cases=5, n_max=170, R_max=50.0)
