@@ -14,10 +14,12 @@ one P_n^{|m|}(cos alpha) per pair of orders +-m, on the step of the first
 of the two it meets; the other takes it with the factor of A&S 8.2.5, as
 a lone P_n^m would.  An order whose value overflows raises where it is
 taken.  ``closed_form_I`` is the first step of a one-order row, so both
-give the same bits.  Every closed form meets its factors as mantissas and
-binary exponents and rounds once: a value below the double range comes
-out subnormal or 0, and only a value past it raises OverflowError (for the
-on-axis integral, n = |m| = 170 at R = 1).
+give the same bits, and ``closed_form_dI_dR`` the first step of one in
+derivative mode, with j_n'(R) in place of j_n(R) from the same
+``_sph_ratio_scaled`` call.  Every closed form meets its factors as
+mantissas and binary exponents and rounds once: a value below the double
+range comes out subnormal or 0, and only a value past it raises
+OverflowError (for the on-axis integral, n = |m| = 170 at R = 1).
 
 All phases are exact quarter-turn lookups; no trigonometric rounding enters
 the unit factor i^k.
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 from .specfun import (
     FACTORIAL_N_CAP,
+    _integer,
     _legendre_scaled,
     _negative_order,
     _rounded,
@@ -100,10 +103,17 @@ def closed_form_row(n, ms, alpha, R):
     OverflowError, as ``closed_form_I`` does; every order before either has
     been yielded.
     """
+    return _row(n, ms, alpha, R, prime=False)
+
+
+def _row(n, ms, alpha, R, prime):
+    # closed_form_row, or with ``prime`` its R-derivative, j_n'(R) in place
+    # of j_n(R) from the same _sph_ratio_scaled call.
     IntegralParams(n, 0, alpha, R)
     x = math.cos(alpha)
-    j, e_j, _ = _sph_ratio_scaled(n, 0, R, "closed_form_row")
+    j, e_j, _ = _sph_ratio_scaled(n, 0, R, "closed_form_row", prime=prime)
     j, e_j = float(j), int(e_j)
+    what = "dI/dR" if prime else "I"
     legendre = {}  # |m| -> P_n^{|m|}(x) as (mantissa, exponent)
     for m in ms:
         a = abs(m)
@@ -116,22 +126,21 @@ def closed_form_row(n, ms, alpha, R):
         if m < 0:
             p, e = _negative_order(n, a, p, e)
         yield _rounded(2.0 * i_phase(n - m) * p * j, e + e_j,
-                       _OVERFLOW, "I", n, m, alpha, R)
+                       _OVERFLOW, what, n, m, alpha, R)
 
 
 def closed_form_I(p):
     """Closed form 2 i^{n-m} P_n^m(cos alpha) j_n(R) of the main integral."""
-    return next(closed_form_row(p.n, (p.m,), p.alpha, p.R))
+    return next(_row(p.n, (p.m,), p.alpha, p.R, prime=False))
 
 
 def closed_form_dI_dR(p):
-    """R-derivative of the closed form: 2 i^{n-m} P_n^m(cos alpha) j_n'(R)."""
-    leg, e, _ = _legendre_scaled(p.n, p.m, math.cos(p.alpha))
-    d, e_d, _ = _sph_ratio_scaled(p.n, 0, p.R, "closed_form_dI_dR",
-                                  prime=True)
-    return _rounded(2.0 * i_phase(p.n - p.m) * float(leg) * float(d),
-                    int(e) + int(e_d), _OVERFLOW, "dI/dR", p.n, p.m, p.alpha,
-                    p.R)
+    """R-derivative of the closed form: 2 i^{n-m} P_n^m(cos alpha) j_n'(R).
+
+    The first step of a one-order row in derivative mode, so it shares the
+    closed form's P_n^m, rounding and errors.
+    """
+    return next(_row(p.n, (p.m,), p.alpha, p.R, prime=True))
 
 
 def _check_lock_args(n, m, R, sign):
@@ -184,14 +193,17 @@ def poisson_closed_form(s, x):
 
 
 def _check_series_args(R, alpha, S):
-    if not R >= 0.0:
-        raise ValueError(f"R must be non-negative (got {R})")
+    # Returns S as an int: an integral float such as 2.0 stands for it.
+    if not 0.0 <= R < math.inf:
+        raise ValueError(f"R must be finite and non-negative (got {R})")
     if not 0.0 <= alpha < math.pi / 2.0:
         raise ValueError(
             f"alpha must lie in [0, pi/2); the series coefficient is "
             f"undefined where cos(alpha) = 0 (got {alpha})")
+    S = _integer(S, "partial-sum order", "S")
     if not 0 <= S <= SERIES_S_MAX:
         raise ValueError(f"require 0 <= S <= {SERIES_S_MAX} (got S={S})")
+    return S
 
 
 def mult_theorem_partial(R, alpha, S=SERIES_S):
@@ -201,7 +213,7 @@ def mult_theorem_partial(R, alpha, S=SERIES_S):
     R^s * j_s(R cos(alpha)).  Converges to j_0(R) wherever the rescaling
     factor 1/cos(alpha) keeps |1 - 1/cos^2(alpha)| < 1 (cos^2(alpha) > 1/2).
     """
-    _check_series_args(R, alpha, S)
+    S = _check_series_args(R, alpha, S)
     ca = math.cos(alpha)
     sa = math.sin(alpha)
     z = R * ca

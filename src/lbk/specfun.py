@@ -20,7 +20,7 @@ lone point and the same point in an array of one give the same bits.
 J_m(x) has two regimes: for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
 Hankel's asymptotic expansion and the upward recurrence to |m|, whose cost
 per point does not grow with x; below, x = 0 included, the Miller loop,
-whose start order is then bounded by about max(ASYM_X_MIN, |m|).
+started for the regime's edge max(ASYM_X_MIN, |m|).
 g_k = J_k(x)/x^k and y_k = j_k(x)/x^k are the minimal solutions of
 g_{k-1} = 2k g_k - x^2 g_{k+1} and y_{k-1} = (2k+1) y_k - x^2 y_{k+1},
 which divide by nothing; they share one Miller loop, each with its own
@@ -28,10 +28,14 @@ normalization, and J_k and j_k above their Miller regimes share one
 upward recurrence.  Each loop returns the band of orders lo..hi it passes
 on one pass, and the regime is picked from hi: J_m and j_n are one-order
 bands, and the derivatives take their neighbouring orders from one band.
-The J_m loops also run a block of cases at once, one order per case, for
-the quadrature oracle's sweeps: each case enters the Miller loop at its
-own start order and Horner's loop at its own Hankel term count, so it
-keeps the bits of its own call.  The Miller loop rescales by counted
+Each Miller loop starts from its regime's edge, max(ASYM_X_MIN, |m|) for
+J and max(n, 1) for j_n, whatever its arguments, and Hankel's sums take,
+at every point, the term count that x = ASYM_X_MIN needs in the dtype, so
+a J_m value depends on its order, its argument and its dtype alone, not
+on the other points of its call.  The J_m loops also run a block of cases
+at once, one order per case, for the quadrature oracle's sweeps; a case
+of order |m| >= ASYM_X_MIN enters the Miller loop at its own start, the
+others at the shared one.  The Miller loop rescales by counted
 powers of two, so each order of its band, J_k = x^k g_k and j_n(x)/x^p,
 is a mantissa and its own binary exponent, rounded once, and never passes
 through a g_k, j_n or x^p outside the double range.  The P_n^m degree
@@ -236,7 +240,7 @@ def _bessel_band(lo, hi, x, sizes=None):
     # regime picked by hi.  With ``sizes``, x holds several cases end to
     # end, sizes[i] >= 1 points of case i, and lo and hi one order per case
     # (hi - lo the same for all): each case takes its regime from its own
-    # hi, and its rows keep the bits of its own call.
+    # hi.
     if sizes is None:
         count = hi - lo + 1
         asym = x >= max(ASYM_X_MIN, hi)
@@ -309,22 +313,16 @@ def _put(rows, j, sl, value):
         rows[j][sl] = _take(value, sl)
 
 
-def _case_reduce(ufunc, x, sizes):
-    # ufunc reduced over each case of a band call.
-    if sizes is None:
-        return [ufunc.reduce(x)]
-    return ufunc.reduceat(x, np.cumsum(sizes) - sizes)
-
-
 def _bessel_miller(lo, hi, x, sizes=None):
     # J_k = x^k g_k from the Miller loop on g_k = J_k/x^k, normalized by
-    # Neumann's g_0 + 2 sum x^(2k) g_{2k} = 1.  Every step takes the same
-    # rounding of x^2, about x eps/2 of J's envelope (1.9e-15 near x = 24);
-    # g_k - (e/2) g_{k+1}, e = x^2 - fl(x^2), steps back to x^2 (DLMF
-    # 10.6.6).  x^k enters through _times_power, rounded once, with per-point
-    # exponents for one case and a block alike: numpy squares a scalar 2,
-    # which can round apart.
-    vals, above, g0, _, even_sum, drops = _backward(lo, hi, x, 0, sizes)
+    # Neumann's g_0 + 2 sum x^(2k) g_{2k} = 1, for x < max(ASYM_X_MIN, hi).
+    # Every step takes the same rounding of x^2, about x eps/2 of J's
+    # envelope (1.9e-15 near x = 24); g_k - (e/2) g_{k+1}, e = x^2 -
+    # fl(x^2), steps back to x^2 (DLMF 10.6.6).  x^k enters through
+    # _times_power, rounded once, with per-point exponents for one case and
+    # a block alike: numpy squares a scalar 2, which can round apart.
+    vals, above, g0, _, even_sum, drops = _backward(
+        lo, hi, x, 0, int(ASYM_X_MIN), sizes)
     half_err = 0.5 * _square_error(x)
     norm = 2.0 * even_sum + g0
     orders = np.broadcast_to(_per_point(lo, sizes), x.shape)
@@ -344,23 +342,14 @@ def _bessel_hankel(lo, hi, x, sizes=None):
     # [J_lo(x), ..., J_hi(x)] for x >= max(ASYM_X_MIN, hi).
     # J_nu = (P cos chi - Q sin chi) sqrt(2/(pi x)), chi = x - (nu/2 + 1/4) pi,
     # for nu = 0, 1 (DLMF 10.17.3), then J_{k+1} = 2k/x J_k - J_{k-1}, stable
-    # for k <= x.  P and Q are Horner polynomials in z = 1/x^2, cut after the
-    # first terms below eps at the smallest x of each case; in a block a
-    # case with fewer terms enters Horner's loop at its own top term.  The
-    # four polynomials are the rows of one array, so one numpy call steps
-    # all four, and every update is in place, so the regime holds no more
-    # memory than the Miller loop would; out of place, bessel_j(7, x) on
-    # 20 000 points in [25, 1000] took 43 % longer (median of 20 alternating
+    # for k <= x.  P and Q are Horner polynomials in z = 1/x^2 of
+    # _hankel_coefs(x.dtype), one length for every point.  The four
+    # polynomials are the rows of one array, so one numpy call steps all
+    # four, and every update is in place, so the regime holds no more memory
+    # than the Miller loop would; out of place, bessel_j(7, x) on 20 000
+    # points in [25, 1000] took 43 % longer (median of 20 alternating
     # rounds).
-    tol = math.log(float(np.finfo(x.dtype).eps) / 4.0)
-    terms = [np.count_nonzero(
-        (_HANKEL_LOG - _HANKEL_POWER * math.log(xmin) > tol).any(axis=0)) + 1
-        for xmin in _case_reduce(np.minimum, x, sizes)]
-    coefs = _HANKEL_PQ[:, :max(terms)].astype(x.dtype)
-    enter = {}
-    for sl, count in zip(_cases(lo, hi, sizes)[0], terms):
-        if count < coefs.shape[1]:
-            enter.setdefault(count - 1, []).append(sl)
+    coefs = _hankel_coefs(x.dtype)
     z = 1.0 / x
     z *= z
     h = np.empty((4,) + x.shape, dtype=x.dtype)
@@ -368,9 +357,6 @@ def _bessel_hankel(lo, hi, x, sizes=None):
     for i in range(coefs.shape[1] - 2, -1, -1):
         h *= z
         h += coefs[:, i, None]
-        if i in enter:
-            for sl in enter[i]:
-                h[:, sl] = coefs[:, i, None]
     del z
     h[1::2] /= x
     # cos chi and sin chi are (c + s, s - c)/sqrt 2 at nu = 0 and
@@ -439,19 +425,32 @@ def _hankel_coefficients(count):
 # Up to k = 2 * ASYM_X_MIN the terms a_k / x^k fall with k for every x in
 # the regime, so the terms above eps form a prefix of each row.
 _HANKEL_PQ, _HANKEL_POWER = _hankel_coefficients(int(ASYM_X_MIN))
-_HANKEL_LOG = np.log(np.abs(_HANKEL_PQ).astype(float))
 
 
-def _backward(lo, hi, x, shift, sizes=None):
+@functools.lru_cache(maxsize=None)
+def _hankel_coefs(dtype):
+    # _HANKEL_PQ in ``dtype``, cut after the first terms below its eps/4 at
+    # x = ASYM_X_MIN.  Each term falls with x, so that length serves every
+    # point of the regime: 10 terms in double.  Callers only read it.
+    log_terms = (np.log(np.abs(_HANKEL_PQ).astype(float))
+                 - _HANKEL_POWER * math.log(ASYM_X_MIN))
+    above = log_terms > math.log(float(np.finfo(dtype).eps) / 4.0)
+    terms = np.count_nonzero(above.any(axis=0)) + 1
+    return _HANKEL_PQ[:, :terms].astype(dtype)
+
+
+def _backward(lo, hi, x, shift, edge, sizes=None):
     # Miller's backward recurrence f_{k-1} = (2k+shift) f_k - x^2 f_{k+1}
     # for its minimal solution, up to one factor per element: g_k =
     # J_k(x)/x^k at shift 0 (DLMF 10.6.1 divided by x^(k-1)) and y_k =
     # j_k(x)/x^k at shift 1 (Gil, Segura & Temme 2007).  It divides by
-    # nothing, so it is exact at x = 0.  The loop starts at _miller_start
-    # for the eps of x's dtype, from the largest x and hi; in a block
-    # (``sizes``, as in _bessel_band) each case's slice holds zeros, which
-    # the loop keeps exactly zero, until the step of its own start, where
-    # it takes the seed a one-case call starts from.  Returns the band
+    # nothing, so it is exact at x = 0.  The caller passes the integer
+    # ``edge`` of its regime: each case's x lies below max(edge, hi), and
+    # the case starts at _miller_start of that for the eps of x's dtype,
+    # whatever its x.  In a block (``sizes``, as in _bessel_band) each
+    # case's slice holds zeros, which the loop keeps exactly zero, until
+    # the step of its own start, where it takes the seed a one-case call
+    # starts from.  Returns the band
     # [f_lo, ..., f_hi] the loop passes on its way down, the f_{k+1} beside
     # each f_k (on its scale), f_0, f_1, sum_{k>=1} x^(2k) f_{2k} (Neumann's
     # sum for g, summed by Horner's rule; zeros for y, which does not use
@@ -459,9 +458,8 @@ def _backward(lo, hi, x, shift, sizes=None):
     # times the common scale of f_0, f_1 and the sum, the rescales the loop
     # made after passing k.
     slices, his, taken, count = _cases(lo, hi, sizes)
-    xmaxs = [float(v) for v in _case_reduce(np.maximum, x, sizes)]
-    starts = [_miller_start(max(b, math.ceil(xmax), 1), x.dtype)
-              for b, xmax in zip(his, xmaxs)]
+    edges = [max(b, edge) for b in his]
+    starts = [_miller_start(big, x.dtype) for big in edges]
     top = max(starts)
     # events[k]: the case slices that start at step k (in a block) and the
     # (row, slice) pairs that take f_{k-1} into the band.
@@ -493,7 +491,7 @@ def _backward(lo, hi, x, shift, sizes=None):
     # bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which the
     # 1e-3 margin absorbs, so the test runs only where it could fire.  A
     # case that starts later enters below the bound, as its seed is.
-    b = max(xmaxs) ** 2
+    b = float(max(edges)) ** 2
     bk, bkp1 = 1e-30, 0.0
     for k in range(top, 0, -1):
         event = events.get(k)
@@ -647,7 +645,7 @@ def _sph_band(orders, x):
     down = ~up
     if down.any():
         xs, a, b = x[down], j0[down], j1[down]
-        vals, _, f0, f1, _, drops = _backward(lo, hi, xs, 1)
+        vals, _, f0, f1, _, drops = _backward(lo, hi, xs, 1, 1)
         use1 = np.abs(b) > np.abs(a)
         y = np.where(use1, b, np.where(xs > 0.0, a, 1.0))
         norm = np.where(use1, f1 * xs, f0)

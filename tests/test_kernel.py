@@ -5,6 +5,7 @@ import warnings
 from dataclasses import astuple
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,6 +351,12 @@ class TestClosedFormDIdR:
               - closed_form_I(IntegralParams(2, 1, math.pi / 3, 2.0 - h))) / (2 * h)
         assert closed_form_dI_dR(p) == pytest.approx(fd, rel=1e-8)
 
+    def test_raises_only_past_the_double_range(self):
+        # The row's rounding, under the derivative's own name.
+        with pytest.raises(OverflowError, match="dI/dR overflows double "
+                           "precision for n=170, m=170, alpha=1.0, R=100.0"):
+            closed_form_dI_dR(IntegralParams(170, 170, 1.0, 100.0))
+
 
 class TestLockClosedForm:
     def test_goldens(self):
@@ -503,3 +510,22 @@ class TestSeriesPartials:
             mult_theorem_partial(1.0, 0.3, 201)
         with pytest.raises(ValueError):
             i00_series_partial(-1.0, 0.3, 10)
+
+    @pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("series", [mult_theorem_partial,
+                                        i00_series_partial])
+    def test_non_finite_radius_raises_as_integral_params(self, series, R):
+        # Rejected by the series' own check, not by the j_s it calls.
+        with pytest.raises(ValueError,
+                           match=r"R must be finite and non-negative \(got "):
+            series(R, 0.3)
+
+    def test_integral_float_order_is_its_int(self):
+        for series in (mult_theorem_partial, i00_series_partial):
+            assert series(2.0, 0.5, 2.0) == series(2.0, 0.5, 2)
+            assert series(2.0, 0.5, np.int64(7)) == series(2.0, 0.5, 7)
+
+    @pytest.mark.parametrize("S", [2.5, 1e-9])
+    def test_non_integral_order_raises(self, S):
+        with pytest.raises(ValueError, match=f"integer \\(got S={S}\\)"):
+            mult_theorem_partial(2.0, 0.5, S)

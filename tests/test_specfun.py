@@ -58,6 +58,19 @@ def _jp_mp(n, x):
         return (n * j(n - 1) - (n + 1) * j(n + 1)) / (2 * n + 1)
 
 
+@st.composite
+def _order_and_points(draw):
+    # An order |m| <= 171 and points on both sides of x = 25 and of
+    # x = |m|, x = 0 and x < 0 among them.
+    m = draw(st.integers(-171, 171))
+    a = float(abs(m))
+    point = (st.just(0.0) | st.floats(0.0, 5.0) | st.floats(0.0, 1e3)
+             | st.floats(23.0, 27.0) | st.floats(max(a - 2.0, 0.0), a + 2.0))
+    signed = st.tuples(point, st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+    return m, draw(st.lists(signed, min_size=1, max_size=16))
+
+
 class TestAssocLegendre:
     @pytest.mark.parametrize("n, m, x, want", [
         (0, 0, 0.3, 1.0),
@@ -292,10 +305,10 @@ class TestBesselJ:
         pytest.param(np.longdouble, 65, marks=_EXTENDED_ONLY),
     ])
     def test_miller_start_follows_dtype(self, dtype, steps, loop_calls):
-        # At big = max(hi, ceil(max x)) = 25 the loop starts where the bound
-        # on J_N(25) falls below the dtype's eps: 60 steps in double and 65
-        # in extended precision, against 80 for both when every dtype took
-        # the extended-precision margin 14 big^(1/3) + 14.
+        # At the regime's edge big = max(25, hi) = 25 the loop starts where
+        # the bound on J_N(25) falls below the dtype's eps: 60 steps in
+        # double and 65 in extended precision, against 80 for both when
+        # every dtype took the extended-precision margin 14 big^(1/3) + 14.
         bessel_j(25, np.array([3.0, 24.5], dtype=dtype))
         assert loop_calls == {"_backward": 1, "_upward": 0}
         assert loop_calls.miller_steps == [steps]
@@ -396,10 +409,10 @@ class TestBesselJ:
         # Miller loop sees only the points below it.
         calls = []
 
-        def guarded(lo, hi, x, shift, sizes=None):
+        def guarded(lo, hi, x, shift, edge, sizes=None):
             assert float(np.max(x)) < max(25.0, hi), (hi, np.max(x))
             calls.append(hi)
-            return miller(lo, hi, x, shift, sizes)
+            return miller(lo, hi, x, shift, edge, sizes)
 
         miller = specfun._backward
         monkeypatch.setattr(specfun, "_backward", guarded)
@@ -421,14 +434,14 @@ class TestBesselJ:
         min_size=1, max_size=8))
     @example([(170, [1e-3]), (3, [0.5, 30.0]), (-40, [25.0, 1e-10]),
               (0, [800.0]), (1, [26.0, 0.0])])
-    # Fewer Hankel terms than the block's most give other last bits here.
+    # Hankel cases whose arguments need different term counts.
     @example([(0, [25.0]), (9, [28.761702993515154]),
               (17, [44.49981410388491])])
     @settings(max_examples=300, deadline=None)
     def test_block_gives_each_case_its_own_bits(self, cases):
         # The cases of an oracle block share every loop of one call, yet
-        # each keeps the bits of its own bessel_j call: its own Miller
-        # start and Hankel term count, whatever the other cases need.
+        # each keeps the bits of its own bessel_j call: its own order's
+        # Miller start, whatever the other cases' orders.
         orders = np.array([m for m, _ in cases])
         sizes = np.array([len(x) for _, x in cases])
         with warnings.catch_warnings():
@@ -439,6 +452,29 @@ class TestBesselJ:
             for (m, x), end, size in zip(cases, ends, sizes):
                 assert np.array_equal(block[end - size:end],
                                       bessel_j(m, np.array(x))), (m, x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @given(case=_order_and_points())
+    @example(case=(3, [2.0, 24.9]))
+    @example(case=(-40, [30.0, 40.0, -39.5, 41.0, 0.0, 26.0, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_each_point_keeps_its_own_bits(self, dtype, case):
+        # J_m at a point depends on m, the point and its dtype alone: every
+        # point of an array, mixing both regimes, x = 0 and x < 0, equals
+        # its own call (a one-element array in extended precision, whose
+        # scalar call returns a float).  80-bit values are compared by value
+        # and sign bit, as their padding bytes are undefined.
+        m, points = case
+        x = np.array(points, dtype=dtype)
+        got = bessel_j(m, x)
+        for i, v in enumerate(x):
+            if dtype is np.float64:
+                assert got[i].tobytes() == np.float64(
+                    bessel_j(m, float(v))).tobytes(), (m, v)
+            else:
+                lone = bessel_j(m, x[i:i + 1])[0]
+                assert got[i] == lone and (
+                    np.signbit(got[i]) == np.signbit(lone)), (m, v)
 
     def test_single_precision_input_runs_in_double(self):
         # The Miller loop's rescale limit (1e250) is past the float32 range,

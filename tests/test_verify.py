@@ -384,6 +384,11 @@ class TestMultTheorem:
         with pytest.raises(ValueError, match="require S >= 1"):
             check_mult_theorem(S=0)
 
+    def test_integral_float_order(self):
+        assert check_mult_theorem(S=2.0) == check_mult_theorem(S=2)
+        with pytest.raises(ValueError, match="S=2.5"):
+            check_mult_theorem(S=2.5)
+
 
 class TestResolveWorkers:
     def test_explicit(self, monkeypatch):
