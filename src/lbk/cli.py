@@ -2,8 +2,9 @@
 
 Angles are accepted in radians only.  Results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 quadrature non-convergence, 141 stdout closed by its reader before the
-output was written (128 + SIGPIPE, what a shell reports for a process
+3 quadrature non-convergence, 4 an internal error (any other exception,
+reported as one line on stderr), 141 stdout closed by its reader before
+the output was written (128 + SIGPIPE, what a shell reports for a process
 that SIGPIPE ends), without a message.  Floats are rendered with 17
 significant digits in both JSON and CSV; JSON uses a canonical compact
 form whose parse/re-render is the identity.  The only environment input is
@@ -392,6 +393,10 @@ def main(argv=None):
 # ``lbk table ... | head``.
 _EXIT_CLOSED_PIPE = 141
 
+# Exit code of an unexpected exception, in-process or from a pool worker;
+# 1 stays the code of failing cases.
+_EXIT_INTERNAL = 4
+
 
 def app():
     try:
@@ -402,6 +407,10 @@ def app():
         # which cannot raise (the pattern of the Python signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = _EXIT_CLOSED_PIPE
+    except Exception as exc:
+        # repr escapes any newline of the message, so the report is one line.
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        code = _EXIT_INTERNAL
     raise SystemExit(code)
 
 

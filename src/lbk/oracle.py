@@ -499,9 +499,10 @@ def _seed_passes(cases, spec):
     # {(p, spec): _sums of the float64 seed pass} of integrate_I for the
     # cases, in one set of numpy calls.  Each case keeps its own layout,
     # P_n^m and sums, with the shapes of its own call; J_m comes from one
-    # engine call over all the nodes, which gives each case the bits of its
-    # own bessel_j call.  A case whose seed pass raises is left out, to
-    # raise in its own call.
+    # engine call over all the nodes, one order per point, which gives each
+    # case the bits of its own bessel_j call; ``sizes`` spreads each case's
+    # values over its points and cuts its sums back out.  A case whose seed
+    # pass raises is left out, to raise in its own call.
     nodes, weights = _gk_rule(spec.nodes_per_panel, np.float64)
     layouts, kept = {}, []
     for p in cases:
@@ -522,9 +523,9 @@ def _seed_passes(cases, spec):
         return np.repeat([value(p) for p in params], sizes)
 
     # The products of the lone call's pair, in its order, in place.
-    amp = _bessel_j(np.array([p.m for p in params]),
+    amp = _bessel_j(per_point(lambda p: p.m),
                     per_point(lambda p: p.R * math.sin(p.alpha))
-                    * np.concatenate(su), sizes)
+                    * np.concatenate(su))
     amp *= np.concatenate(legendre)
     amp *= 2.0
     vals, mass = _folded(

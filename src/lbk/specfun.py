@@ -32,16 +32,16 @@ Each Miller loop starts from its regime's edge, max(ASYM_X_MIN, |m|) for
 J and max(n, 1) for j_n, whatever its arguments, and Hankel's sums take,
 at every point, the term count that x = ASYM_X_MIN needs in the dtype, so
 a J_m value depends on its order, its argument and its dtype alone, not
-on the other points of its call.  The J_m loops also run a block of cases
-at once, one order per case, for the quadrature oracle's sweeps; a case
-of order |m| >= ASYM_X_MIN enters the Miller loop at its own start, the
-others at the shared one.  The Miller loop rescales by counted
-powers of two, so each order of its band, J_k = x^k g_k and j_n(x)/x^p,
-is a mantissa and its own binary exponent, rounded once, and never passes
-through a g_k, j_n or x^p outside the double range.  The P_n^m degree
-recurrence is the only Legendre evaluator in the package; the quadrature
-oracle builds its rules from the recurrence coefficients of its
-Jacobi-Kronrod matrix instead.
+on the other points of its call.  The J_m loops also take one order per
+point, for the quadrature oracle's sweeps, which run a block of cases in
+one call: each point takes its regime from its own order, enters the
+Miller loop at its own order's start and leaves with its own order's
+value.  The Miller loop rescales by counted powers of two, so each order
+of its band, J_k = x^k g_k and j_n(x)/x^p, is a mantissa and its own
+binary exponent, rounded once, and never passes through a g_k, j_n or x^p
+outside the double range.  The P_n^m degree recurrence is the only
+Legendre evaluator in the package; the quadrature oracle builds its rules
+from the recurrence coefficients of its Jacobi-Kronrod matrix instead.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -84,7 +84,11 @@ def _as_array(x, name):
 
 
 def _maybe_scalar(values, scalar):
-    return float(values[()]) if scalar else values
+    # A 0-d input's value as a float, or in an extended dtype as a numpy
+    # scalar of that dtype, which keeps its precision.
+    if not scalar:
+        return values
+    return float(values[()]) if values.dtype == np.float64 else values[()]
 
 
 def _integer(value, what, name):
@@ -217,115 +221,64 @@ def bessel_j(m, x):
     return _maybe_scalar(_bessel_j(m, arr), scalar)
 
 
-def _bessel_j(m, x, sizes=None):
-    # bessel_j on a checked array, or, with ``sizes``, on the cases of a
-    # block as _bessel_band takes them, m holding one order per case.
-    # J_m(-x) = (-1)^m J_m(x) and J_{-m} = (-1)^m J_m: (-1)^m where exactly
-    # one of x and m is negative.
+def _bessel_j(m, x):
+    # bessel_j on a checked array, m an int or, in an oracle block, one
+    # order per point.  J_m(-x) = (-1)^m J_m(x) and J_{-m} = (-1)^m J_m:
+    # (-1)^m where exactly one of x and m is negative.
     mm = abs(m)
-    (out,) = _bessel_band(mm, mm, np.abs(x), sizes)
-    out *= np.where((x < 0.0) != _per_point(m < 0, sizes),
-                    _per_point(1.0 - 2.0 * (mm % 2), sizes), 1.0)
+    (out,) = _bessel_band(mm, mm, np.abs(x))
+    out *= np.where((x < 0.0) != (m < 0), 1.0 - 2.0 * (mm % 2), 1.0)
     return out
 
 
-def _per_point(values, sizes):
-    # One value per case of a block spread over its points; a one-case
-    # call's value as it is.
-    return values if sizes is None else np.repeat(values, sizes)
-
-
-def _bessel_band(lo, hi, x, sizes=None):
-    # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, the
-    # regime picked by hi.  With ``sizes``, x holds several cases end to
-    # end, sizes[i] >= 1 points of case i, and lo and hi one order per case
-    # (hi - lo the same for all): each case takes its regime from its own
-    # hi.
-    if sizes is None:
+def _bessel_band(lo, hi, x):
+    # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, each
+    # point's regime picked by its hi.  lo and hi are ints, or in a block one
+    # int per point of x, hi - lo the same for all; a regime's points take
+    # their orders with them.
+    block = isinstance(hi, np.ndarray)
+    if block:
+        count = int(np.max(hi - lo, initial=0)) + 1
+        asym = x >= np.maximum(ASYM_X_MIN, hi)
+    else:
         count = hi - lo + 1
         asym = x >= max(ASYM_X_MIN, hi)
-    else:
-        lo, hi, sizes = np.asarray(lo), np.asarray(hi), np.asarray(sizes)
-        count = int(hi[0] - lo[0]) + 1
-        asym = x >= np.repeat(np.maximum(ASYM_X_MIN, hi), sizes)
     out = [np.empty_like(x) for _ in range(count)]
     for mask, regime in ((asym, _bessel_hankel), (~asym, _bessel_miller)):
         if mask.any():
-            for row, val in zip(out, regime(*_subset(mask, lo, hi, x, sizes))):
+            orders = (lo[mask], hi[mask]) if block else (lo, hi)
+            for row, val in zip(out, regime(*orders, x[mask])):
                 row[mask] = val
     return out
 
 
-def _subset(mask, lo, hi, x, sizes):
-    # The orders, points and case sizes of x[mask], without the cases that
-    # have no point there; where one case is left, a one-case call.
-    if sizes is not None:
-        counts = np.add.reduceat(mask, np.cumsum(sizes) - sizes, dtype=int)
-        keep = np.flatnonzero(counts)
-        if keep.size == 1:
-            lo, hi, sizes = int(lo[keep[0]]), int(hi[keep[0]]), None
-        else:
-            lo, hi, sizes = lo[keep], hi[keep], counts[keep]
-    return lo, hi, x[mask], sizes
+def _runs(lo, hi):
+    # A loop's points as runs that share their orders: (part, lo, hi) per
+    # run, part ``...`` for a call of one order pair, else the run's slice
+    # of a block.  A block needs no sorting: its cases are runs already,
+    # and neighbouring cases of one order merge.
+    if not isinstance(lo, np.ndarray):
+        return [(..., lo, hi)]
+    cuts = (np.flatnonzero(lo[1:] != lo[:-1]) + 1).tolist()
+    if not cuts:
+        return [(..., int(lo[0]), int(hi[0]))]
+    return [(slice(a, b), int(lo[a]), int(hi[a]))
+            for a, b in zip([0, *cuts], [*cuts, lo.size])]
 
 
-def _cases(lo, hi, sizes):
-    # A band call's cases: their slices of x (None for a one-case call: its
-    # whole x), their his, order -> [(row, slice)] for the cases whose band
-    # takes the order, and the band's row count.  Callers only read them.
-    if sizes is None:
-        return _one_case(lo, hi)
-    ends = np.cumsum(sizes).tolist()
-    slices = [slice(end - size, end) for size, end in zip(sizes.tolist(), ends)]
-    taken = {}
-    for sl, a, b in zip(slices, lo.tolist(), hi.tolist()):
-        for k in range(a, b + 1):
-            taken.setdefault(k, []).append((k - a, sl))
-    return slices, hi.tolist(), taken, int(hi[0] - lo[0]) + 1
-
-
-@functools.lru_cache(maxsize=1024)
-def _one_case(lo, hi):
-    return ((None,), (hi,), {k: ((k - lo, None),) for k in range(lo, hi + 1)},
-            hi - lo + 1)
-
-
-def _take(a, sl):
-    # Case slice ``sl`` of a per-point array; a one-case call's or a
-    # scalar's whole value.
-    return a if sl is None or np.ndim(a) == 0 else a[sl]
-
-
-def _new_rows(count, x, sizes, dtype):
-    # The rows a band call fills: a one-case call sets each whole (_put), a
-    # block each case's slice of rows like x.
-    if sizes is None:
-        return [None] * count
-    return [np.zeros(x.shape, dtype) for _ in range(count)]
-
-
-def _put(rows, j, sl, value):
-    # Row j of a one-case call is ``value``; in a block, case slice sl of
-    # row j takes value's slice.
-    if sl is None:
-        rows[j] = value
-    else:
-        rows[j][sl] = _take(value, sl)
-
-
-def _bessel_miller(lo, hi, x, sizes=None):
+def _bessel_miller(lo, hi, x):
     # J_k = x^k g_k from the Miller loop on g_k = J_k/x^k, normalized by
     # Neumann's g_0 + 2 sum x^(2k) g_{2k} = 1, for x < max(ASYM_X_MIN, hi).
     # Every step takes the same rounding of x^2, about x eps/2 of J's
     # envelope (1.9e-15 near x = 24); g_k - (e/2) g_{k+1}, e = x^2 -
     # fl(x^2), steps back to x^2 (DLMF 10.6.6).  x^k enters through
-    # _times_power, rounded once, with per-point exponents for one case and
-    # a block alike: numpy squares a scalar 2, which can round apart.
+    # _times_power, rounded once, with per-point exponents for one order
+    # and a block alike: numpy squares a scalar 2, which can round apart.
     vals, above, g0, _, even_sum, drops = _backward(
-        lo, hi, x, 0, int(ASYM_X_MIN), sizes)
+        lo, hi, x, 0, int(ASYM_X_MIN))
     half_err = 0.5 * _square_error(x)
     norm = 2.0 * even_sum + g0
-    orders = np.broadcast_to(_per_point(lo, sizes), x.shape)
+    orders = np.broadcast_to(lo, x.shape)
     return [np.ldexp(*_times_power(
         *_normalized(val - half_err * nxt, drop, norm), x, orders + j))
             for j, (val, nxt, drop) in enumerate(zip(vals, above, drops))]
@@ -338,7 +291,7 @@ def _normalized(val, drop, norm, factor=1.0):
     return mant, e - _RESCALE_BITS * drop
 
 
-def _bessel_hankel(lo, hi, x, sizes=None):
+def _bessel_hankel(lo, hi, x):
     # [J_lo(x), ..., J_hi(x)] for x >= max(ASYM_X_MIN, hi).
     # J_nu = (P cos chi - Q sin chi) sqrt(2/(pi x)), chi = x - (nu/2 + 1/4) pi,
     # for nu = 0, 1 (DLMF 10.17.3), then J_{k+1} = 2k/x J_k - J_{k-1}, stable
@@ -375,10 +328,10 @@ def _bessel_hankel(lo, hi, x, sizes=None):
     h[0] += h[1]
     h[2] -= h[3]
     h[0::2] /= np.sqrt(4.0 * np.arctan(x.dtype.type(1)) * x)  # pi in x's dtype
-    return _upward(lo, hi, x, h[0], h[2], 0, sizes)
+    return _upward(lo, hi, x, h[0], h[2], 0)
 
 
-def _upward(lo, hi, x, f0, f1, shift, sizes=None):
+def _upward(lo, hi, x, f0, f1, shift):
     # [f_lo, ..., f_hi] from f_0, f_1 and f_{k+1} = (2k+shift)/x f_k - f_{k-1},
     # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
     # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
@@ -386,24 +339,29 @@ def _upward(lo, hi, x, f0, f1, shift, sizes=None):
     # near x = k.  Updates are in place, so the loop holds three arrays; a
     # single point steps as numpy scalars, which rebind instead: as a
     # one-element array, a lone j_20(33.3) took 2.7 times as long and
-    # j_150(400) 7 times.  In a block the loop runs to the highest hi, each
-    # case taking its own band.
-    _, his, taken, count = _cases(lo, hi, sizes)
-    band = _new_rows(count, x, sizes, x.dtype)
+    # j_150(400) 7 times.  With one order per point (_bessel_band) the loop
+    # runs to the highest hi, each point taking its band row at the step of
+    # its own order.
+    runs = _runs(lo, hi)
+    taken = {}  # order k -> the (band row, part) pairs that take f_k
+    for part, a, b in runs:
+        for k in range(a, b + 1):
+            taken.setdefault(k, []).append((k - a, part))
+    band = np.empty((runs[0][2] - runs[0][1] + 1,) + x.shape, x.dtype)
     if x.size == 1:
         x, f0, f1 = x[0], f0[0], f1[0]
     for k, f in (0, f0), (1, f1):
-        for j, sl in taken.get(k, ()):
-            _put(band, j, sl, f)
+        for j, part in taken.get(k, ()):
+            band[j, part] = f[part]
     prev, cur = f0, f1
-    for k in range(1, max(his)):
+    for k in range(1, max(b for _, _, b in runs)):
         nxt = (2.0 * k + shift) / x
         nxt *= cur
         nxt -= prev
         prev, cur = cur, nxt
         if k + 1 in taken:
-            for j, sl in taken[k + 1]:
-                _put(band, j, sl, cur)
+            for j, part in taken[k + 1]:
+                band[j, part] = cur[part]
     return band
 
 
@@ -439,36 +397,47 @@ def _hankel_coefs(dtype):
     return _HANKEL_PQ[:, :terms].astype(dtype)
 
 
-def _backward(lo, hi, x, shift, edge, sizes=None):
+def _backward(lo, hi, x, shift, edge):
     # Miller's backward recurrence f_{k-1} = (2k+shift) f_k - x^2 f_{k+1}
     # for its minimal solution, up to one factor per element: g_k =
     # J_k(x)/x^k at shift 0 (DLMF 10.6.1 divided by x^(k-1)) and y_k =
     # j_k(x)/x^k at shift 1 (Gil, Segura & Temme 2007).  It divides by
     # nothing, so it is exact at x = 0.  The caller passes the integer
-    # ``edge`` of its regime: each case's x lies below max(edge, hi), and
-    # the case starts at _miller_start of that for the eps of x's dtype,
-    # whatever its x.  In a block (``sizes``, as in _bessel_band) each
-    # case's slice holds zeros, which the loop keeps exactly zero, until
-    # the step of its own start, where it takes the seed a one-case call
-    # starts from.  Returns the band
+    # ``edge`` of its regime: each point's x lies below max(edge, hi), and
+    # the point starts at _miller_start of that for the eps of x's dtype,
+    # whatever its x.  With one order per point (_bessel_band), a point
+    # whose start is below the top one holds zeros, which the loop keeps
+    # exactly zero, until the step of its own start, where it takes the
+    # seed a lone call starts from.  Returns the band
     # [f_lo, ..., f_hi] the loop passes on its way down, the f_{k+1} beside
     # each f_k (on its scale), f_0, f_1, sum_{k>=1} x^(2k) f_{2k} (Neumann's
     # sum for g, summed by Horner's rule; zeros for y, which does not use
     # it) and one drop per band order: f_k is 2^(_RESCALE_BITS * drop)
     # times the common scale of f_0, f_1 and the sum, the rescales the loop
     # made after passing k.
-    slices, his, taken, count = _cases(lo, hi, sizes)
-    edges = [max(b, edge) for b in his]
+    runs = _runs(lo, hi)
+    edges = [max(b, edge) for _, _, b in runs]
     starts = [_miller_start(big, x.dtype) for big in edges]
     top = max(starts)
-    # events[k]: the case slices that start at step k (in a block) and the
-    # (row, slice) pairs that take f_{k-1} into the band.
-    events = {k + 1: ([], parts) for k, parts in taken.items()}
-    if sizes is not None:
-        for sl, start in zip(slices, starts):
-            events.setdefault(start, ([], ()))[0].append(sl)
+    # events[k]: the parts seeded at step k and the (row, part) pairs that
+    # take f_{k-1} into the band; ``late`` the parts that start below top.
+    events, late = {}, []
+    for (part, a, b), start in zip(runs, starts):
+        if start < top:
+            late.append(part)
+            events.setdefault(start, ([], []))[0].append(part)
+        for k in range(a, b + 1):
+            events.setdefault(k + 1, ([], []))[1].append((k - a, part))
     # The steps that pass an even order k - 1 >= 2, for g's sum.
     sum_steps = () if shift else range(3, top + 1, 2)
+    # band[j] was passed when ``drops`` stood at marks[j]; counting the
+    # rescales once and subtracting at the end is exact in integers.  drops
+    # is the scalar 0 until a rescale makes it one count per point: with a
+    # count array from the start, the Miller regime on 30 000 points took
+    # about 4 % longer.
+    rows = (runs[0][2] - runs[0][1] + 1,) + x.shape
+    band, above = np.empty(rows, x.dtype), np.empty(rows, x.dtype)
+    marks, drops = np.empty(rows, np.int32), np.int32(0)
     # Each step updates f_{k+1}'s buffer into f_{k-1} and swaps, so a node
     # array steps in place and a lone point, as numpy scalars, rebinds:
     # as a one-element array, a lone j_20(5) took about twice as long, and
@@ -479,35 +448,31 @@ def _backward(lo, hi, x, shift, edge, sizes=None):
         x = x.reshape(())[()]
     x2 = x * x
     neg_x2 = -x2
-    fk = x * 0.0 + (1e-30 if sizes is None else 0.0)
+    fk = x * 0.0 + 1e-30
+    for part in late:
+        fk[part] = 0.0
     fkp1, even_sum = x * 0.0, x * 0.0
-    # band[j] was passed when ``drops`` stood at marks[j]; counting the
-    # rescales once and subtracting at the end is exact in integers.
-    band = _new_rows(count, x, sizes, x.dtype)
-    above = _new_rows(count, x, sizes, x.dtype)
-    marks, drops = _new_rows(count, x, sizes, np.int32), np.int32(0)
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits.
     # bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which the
     # 1e-3 margin absorbs, so the test runs only where it could fire.  A
-    # case that starts later enters below the bound, as its seed is.
+    # point that starts later enters below the bound, as its seed is.
     b = float(max(edges)) ** 2
     bk, bkp1 = 1e-30, 0.0
     for k in range(top, 0, -1):
         event = events.get(k)
         if event:
-            for sl in event[0]:
-                fk[sl] = 1e-30
+            for part in event[0]:
+                fk[part] = 1e-30
         fkp1 *= neg_x2
         fkp1 += (2.0 * k + shift) * fk
         fk, fkp1 = fkp1, fk
         bk, bkp1 = (2.0 * k + shift) * bk + b * bkp1, bk
         if event:
-            for j, sl in event[1]:
-                # a one-case call keeps copies of the buffers, which move on
-                _put(band, j, sl, fk.copy() if sl is None else fk)
-                _put(above, j, sl, fkp1.copy() if sl is None else fkp1)
-                _put(marks, j, sl, drops)
+            for j, part in event[1]:
+                band[j, part] = fk[part]
+                above[j, part] = fkp1[part]
+                marks[j, part] = drops[part] if drops.ndim else drops
         if k in sum_steps:
             even_sum += fk
             even_sum *= x2
@@ -520,7 +485,7 @@ def _backward(lo, hi, x, shift, edge, sizes=None):
                 even_sum = even_sum * f
                 drops = drops + clip
             bk = min(bk, _RESCALE_LIMIT)
-    return band, above, fk, fkp1, even_sum, [drops - mark for mark in marks]
+    return band, above, fk, fkp1, even_sum, drops - marks
 
 
 def _square_error(x):

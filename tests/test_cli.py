@@ -240,6 +240,22 @@ class TestVerify:
             main(["verify"])
         assert configs == [SweepConfig(seed=42, cases=100)]
 
+    def test_crash_exits_4_with_one_line(self, capsys, monkeypatch):
+        # An exception other than ValueError or OverflowError is a crash,
+        # not a failing case: exit 4 and one line on stderr, no traceback.
+        def crashing(cfg):
+            raise RuntimeError("worker died\nwith a second line")
+
+        monkeypatch.setattr(lbk.cli, "sweep_random", crashing)
+        monkeypatch.setattr(sys, "argv", ["lbk", "verify", "--cases", "3"])
+        with pytest.raises(SystemExit) as exit_info:
+            lbk.cli.app()
+        assert exit_info.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: RuntimeError(")
+
     def test_degree_above_cap_exits_2(self, capsys):
         code, out, err = run(capsys, ["verify", "--n-max", "250"])
         assert code == 2

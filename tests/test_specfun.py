@@ -409,10 +409,10 @@ class TestBesselJ:
         # Miller loop sees only the points below it.
         calls = []
 
-        def guarded(lo, hi, x, shift, edge, sizes=None):
+        def guarded(lo, hi, x, shift, edge):
             assert float(np.max(x)) < max(25.0, hi), (hi, np.max(x))
             calls.append(hi)
-            return miller(lo, hi, x, shift, edge, sizes)
+            return miller(lo, hi, x, shift, edge)
 
         miller = specfun._backward
         monkeypatch.setattr(specfun, "_backward", guarded)
@@ -437,6 +437,10 @@ class TestBesselJ:
     # Hankel cases whose arguments need different term counts.
     @example([(0, [25.0]), (9, [28.761702993515154]),
               (17, [44.49981410388491])])
+    # A block of one point, one order across cases, and mixed Miller starts.
+    @example([(0, [0.0])])
+    @example([(30, [1.0]), (30, [2.0])])
+    @example([(170, [1e-3]), (0, [3.0]), (-26, [5.0])])
     @settings(max_examples=300, deadline=None)
     def test_block_gives_each_case_its_own_bits(self, cases):
         # The cases of an oracle block share every loop of one call, yet
@@ -446,8 +450,8 @@ class TestBesselJ:
         sizes = np.array([len(x) for _, x in cases])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = specfun._bessel_j(
-                orders, np.concatenate([x for _, x in cases]), sizes)
+            block = specfun._bessel_j(np.repeat(orders, sizes),
+                                      np.concatenate([x for _, x in cases]))
             ends = np.cumsum(sizes)
             for (m, x), end, size in zip(cases, ends, sizes):
                 assert np.array_equal(block[end - size:end],
@@ -461,9 +465,9 @@ class TestBesselJ:
     def test_each_point_keeps_its_own_bits(self, dtype, case):
         # J_m at a point depends on m, the point and its dtype alone: every
         # point of an array, mixing both regimes, x = 0 and x < 0, equals
-        # its own call (a one-element array in extended precision, whose
-        # scalar call returns a float).  80-bit values are compared by value
-        # and sign bit, as their padding bytes are undefined.
+        # its own call (a one-element array in extended precision).  80-bit
+        # values are compared by value and sign bit, as their padding bytes
+        # are undefined.
         m, points = case
         x = np.array(points, dtype=dtype)
         got = bessel_j(m, x)
@@ -856,9 +860,9 @@ def test_lone_point_matches_one_element_array(fn, args, x, dtype,
     array = fn(*args, np.array([x], dtype=dtype))
     assert array.shape == (1,) and array.dtype == dtype
     lone = fn(*args, dtype(x))
-    assert type(lone) is float
+    assert type(lone) is (float if dtype is np.float64 else dtype)
     assert np.float64(lone).tobytes() == np.float64(array[0]).tobytes()
-    # In x's dtype, before the lone value is rounded to a Python float.
+    # In x's dtype, before _maybe_scalar takes the lone value out.
     monkeypatch.setattr(specfun, "_maybe_scalar", lambda values, _: values)
     unrounded = fn(*args, dtype(x))
     assert unrounded.dtype == dtype
