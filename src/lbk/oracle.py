@@ -28,7 +28,8 @@ never raised.  No layout holds more than ``MAX_NODES`` nodes, both halves
 counted: a seed pass past that cap is rejected with ValueError, and
 doubling stops short of it as non-convergence.  Panel sums use a fixed
 summation order (within each panel, then across panels), so results do
-not depend on scheduling.
+not depend on scheduling.  P_n^m enters over a power of two (``_frame``),
+within 2^1000, so no node overflows where P_n^m does.
 
 The rule is built at run time, in O(N) memory, from the Jacobi-Kronrod
 recurrence coefficients of Laurie (Math. Comp. 66, 1997): Newton's method
@@ -62,7 +63,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _check_lock_args, _check_moment_args
-from .specfun import _bessel_band, _bessel_j, assoc_legendre, bessel_j
+from .specfun import (_bessel_band, _bessel_j, _legendre_scaled, _rounded,
+                      _scaled_factorial_ratio, bessel_j)
+from .specfun import assoc_legendre  # noqa: F401  (for perfbench's tracer)
 
 _EPS64 = float(np.finfo(np.float64).eps)
 _EPS_LONG = float(np.finfo(np.longdouble).eps)
@@ -341,11 +344,13 @@ def _seed_panels(spec, auto_panels):
     return panels
 
 
-def _refine(pair, imaginary, spec, auto_panels, seed=None):
-    # The passes from the seed layout on.  ``seed``, where given, is the
-    # float64 seed pass's _sums, evaluated ahead in a block (_seeded).
+def _refine(pair, imaginary, spec, auto_panels, seed=None, shift=0):
+    # The passes from the seed layout on, in the frame 2^shift (_frame);
+    # the result is scaled back (OverflowError past the range).  ``seed``,
+    # where given, is the float64 seed pass's _sums, from a block (_seeded).
     panels = _seed_panels(spec, auto_panels)
     width = 2 * spec.nodes_per_panel + 1
+    abs_tol = math.ldexp(spec.abs_tol, -shift)
 
     def outcome(sums, l1):
         kronrod, gauss = sums
@@ -357,10 +362,12 @@ def _refine(pair, imaginary, spec, auto_panels, seed=None):
         return outcome(*_fold_sums(pair, panels, nodes, weights))
 
     def target(value):
-        return max(spec.abs_tol, spec.rel_tol * abs(value))
+        return max(abs_tol, spec.rel_tol * abs(value))
 
     def crowds(l1, eps, figure):
-        return _CROWD * eps * l1 > figure
+        # Within its frame (2^1000), a factor below the normal range (J_m at
+        # a large order) errs by up to 2^-72 over weights summing to 2.
+        return _CROWD * (eps * l1 + 2.0 ** -72) > figure
 
     value, est, l1 = (run(panels, np.float64) if seed is None
                       else outcome(*seed))
@@ -369,14 +376,15 @@ def _refine(pair, imaginary, spec, auto_panels, seed=None):
                   else (np.float64, _EPS64))
     if escalated:
         value, est, l1 = run(panels, dtype)
-    other = None
+    other, converged = None, False
     for doublings in range(spec.max_refinements + 1):
         tol = target(value)
         # At the floor a small estimate can be luck, so a crowded pass must
         # also agree with the other layout (half its panels) within tol.
         if est <= tol and not ((escalated or crowds(l1, eps, tol)) and (
                 other is None or abs(value - other) > tol)):
-            return QuadResult(value, est, panels, True)
+            converged = True
+            break
         # More panels cannot reduce an estimate at the floor; a pass that
         # met tol without a layout to compare with runs the next one.
         stalled = crowds(l1, eps, est) and not (est <= tol and other is None)
@@ -386,7 +394,9 @@ def _refine(pair, imaginary, spec, auto_panels, seed=None):
         other = value
         panels *= 2
         value, est, l1 = run(panels, dtype)
-    return QuadResult(value, est, panels, False)
+    message = "quadrature value overflows double precision"
+    return QuadResult(_rounded(value, shift, message),
+                      _rounded(est, shift, message), panels, converged)
 
 
 def _check_finite(x, name):
@@ -420,13 +430,27 @@ def _folded(amp, phase, odd):
     return trig, np.abs(amp)
 
 
-def _exp_times_even(amplitude, rate, odd, spec, auto_panels, seed=None):
-    # The integral of exp(i rate u) a(u, su) for a real amplitude a of
-    # parity (-1)^odd.
+def _exp_times_even(amplitude, rate, odd, spec, auto_panels, seed=None,
+                    shift=0):
+    # The integral of 2^shift exp(i rate u) a(u, su) for a real amplitude a
+    # of parity (-1)^odd.
     def pair(u, su):
         return _folded(2.0 * amplitude(u, su), rate * u, odd)
 
-    return _refine(pair, odd, spec, auto_panels, seed)
+    return _refine(pair, odd, spec, auto_panels, seed, shift)
+
+
+def _frame(n, m):
+    # The k of the frame P_n^m / 2^k the oracle integrates, within 2^1000:
+    # |P_n^m| <= sqrt((n+m)!/(n-m)!) (addition theorem) for m > 0, else 1.
+    e = _scaled_factorial_ratio(n, m)[1] if m > 0 else 0
+    return (e + 1) // 2 - 1000
+
+
+def _legendre(n, m, u):
+    # P_n^m(u) in its frame on the nodes, rounded once.
+    mant, e, _ = _legendre_scaled(n, m, u)
+    return np.ldexp(mant, e - _frame(n, m))
 
 
 def integrate_I(p, spec=QuadratureSpec()):
@@ -438,11 +462,11 @@ def integrate_I(p, spec=QuadratureSpec()):
     rs = p.R * math.sin(p.alpha)
 
     def amplitude(u, su):
-        return assoc_legendre(p.n, p.m, u) * bessel_j(p.m, rs * su)
+        return _legendre(p.n, p.m, u) * bessel_j(p.m, rs * su)
 
     return _exp_times_even(amplitude, p.R * math.cos(p.alpha),
                            (p.n + p.m) % 2, spec, _auto_panels(p.R, p.n),
-                           _block_seed(p, spec))
+                           _block_seed(p, spec), _frame(p.n, p.m))
 
 
 # The seed passes of the block in progress, keyed by (params, spec); None
@@ -502,7 +526,7 @@ def _seed_passes(cases, spec):
     # engine call over all the nodes, one order per point, which gives each
     # case the bits of its own bessel_j call; ``sizes`` spreads each case's
     # values over its points and cuts its sums back out.  A case whose seed
-    # pass raises is left out, to raise in its own call.
+    # layout passes the node cap is left out, to raise in its own call.
     nodes, weights = _gk_rule(spec.nodes_per_panel, np.float64)
     layouts, kept = {}, []
     for p in cases:
@@ -511,8 +535,8 @@ def _seed_passes(cases, spec):
             if panels not in layouts:
                 layouts[panels] = _layout(panels, nodes, weights)
             u, su, folds = layouts[panels]
-            kept.append((p, u, su, folds, assoc_legendre(p.n, p.m, u)))
-        except (ValueError, OverflowError):
+            kept.append((p, u, su, folds, _legendre(p.n, p.m, u)))
+        except ValueError:
             continue
     if not kept:
         return {}
@@ -564,11 +588,12 @@ def integrate_dI_dR(p, spec=QuadratureSpec()):
         b = sa * su * (0.5 * (below - band[-1]))
         c = np.cos(rc * u)
         s = np.sin(rc * u)
-        amp = 2.0 * assoc_legendre(p.n, p.m, u)
+        amp = 2.0 * _legendre(p.n, p.m, u)
         folded = (a * c + b * s) if odd else (b * c - a * s)
         return amp * folded, np.abs(amp) * np.hypot(a, b)
 
-    return _refine(pair, odd, spec, _auto_panels(p.R, p.n))
+    return _refine(pair, odd, spec, _auto_panels(p.R, p.n),
+                   shift=_frame(p.n, p.m))
 
 
 def integrate_lock(n, m, R, sign, spec=QuadratureSpec()):
@@ -578,10 +603,10 @@ def integrate_lock(n, m, R, sign, spec=QuadratureSpec()):
     am = abs(m)
 
     def amplitude(u, su):
-        return su ** am * assoc_legendre(n, am, u)
+        return su ** am * _legendre(n, am, u)
 
     return _exp_times_even(amplitude, sign * R, (n + am) % 2, spec,
-                           _auto_panels(R, n))
+                           _auto_panels(R, n), shift=_frame(n, am))
 
 
 def integrate_poisson_exp(s, x, spec=QuadratureSpec()):

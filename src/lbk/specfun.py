@@ -9,13 +9,12 @@ positive-order recurrence, and j_n(x) is the p = 0 case of the scaled
 j_n(x)/x^p.  Degrees, orders and powers are integers; an integral float
 such as 2.0 stands for its int, and any other value raises ValueError.
 
-Each loop steps one way whatever the size of its argument, the way its
-callers need: the Legendre recurrence, which the closed forms run on one
-point, makes a new value per step and rebinds (a lone point as numpy
-scalars); the Hankel set-up, which the oracle runs on node arrays, updates
-its own buffers in place; the Miller loop's augmented assignments do both,
-in place on a node array and rebinding a lone point's numpy scalars.  A
-lone point and the same point in an array of one give the same bits.
+Each loop steps one way whatever the size of its argument: the Hankel
+set-up, which the oracle runs on node arrays, updates its own buffers in
+place; the Legendre recurrence and the Miller loop step by augmented
+assignments, in place on a node array and rebinding a lone point's numpy
+scalars.  A lone point and the same point in an array of one give the
+same bits.
 
 J_m(x) has two regimes: for |x| >= max(ASYM_X_MIN, |m|), J_0 and J_1 from
 Hankel's asymptotic expansion and the upward recurrence to |m|, whose cost
@@ -104,27 +103,12 @@ def _integer(value, what, name):
 def assoc_legendre(n, m, x):
     """Associated Legendre polynomial P_n^m(x), A&S convention.
 
-    Parameters
-    ----------
-    n : int
-        Degree, n >= 0.
-    m : int
-        Order, -n <= m <= n.  Negative orders use
-        P_n^{-m}(x) = (-1)^m (n-m)!/(n+m)! P_n^m(x).
-    x : float or ndarray
-        Argument in [-1, 1].
-
-    Returns
-    -------
-    float or ndarray
-        P_n^m(x) including the Condon-Shortley phase.
-
-    Raises
-    ------
-    OverflowError
-        If P_n^m(x) lies outside the double range, as ``factorial_ratio``
-        does; possible only for m > 0 near the degree cap.  Negative orders
-        have |P_n^m| <= 1 and never raise.
+    Degree n >= 0, order |m| <= n, x (float or ndarray) in [-1, 1], with the
+    Condon-Shortley phase; negative orders use P_n^{-m}(x) = (-1)^m
+    (n-m)!/(n+m)! P_n^m(x).  The recurrence steps scaled by powers of two,
+    and the value is rounded once.  Raises OverflowError where P_n^m(x)
+    passes the double range, as ``factorial_ratio`` does: only for m > 0
+    near the degree cap, as |P_n^m| <= 1 for m < 0.
     """
     n, m = _integer(n, "degree", "n"), _integer(m, "order", "m")
     mant, e, scalar = _legendre_scaled(n, m, x)
@@ -137,16 +121,9 @@ def assoc_legendre(n, m, x):
 
 
 def _legendre_scaled(n, m, x):
-    # P_n^m(x) = mant * 2^e.  Every step of the recurrence stays within 680
-    # < 2^10 times sqrt((k+a)!/(k-a)!) (addition theorem) and, per point,
-    # (1-x^2)^(a/2) (k+a)!/((k-a)! 2^a a!) (DLMF 18.14.4 for P_k^a as a
-    # Gegenbauer C_{k-a}^(a+1/2)), so the seed 2^-e keeps it under 2^1020
-    # and P_a^a normal; e = 0 where the first bound fits.  Where P_a^a =
-    # (2a-1)!! (1-x^2)^(a/2) is below 2^-1000 (1-x^2 near eps, large a),
-    # the seed lifts it by up to 2^1000 rather than start subnormal.
-    # Negative orders take A&S 8.2.5, and powers of two scale exactly:
-    # wherever the plain formula stays in the normal range, mant * 2^e is
-    # its result bit for bit.
+    # P_n^m(x) = mant * 2^e for every |m| <= n, from _legendre_upward and,
+    # for m < 0, A&S 8.2.5; powers of two scale exactly, so wherever the
+    # plain formula stays normal, mant * 2^e is its result bit for bit.
     if n < 0:
         raise ValueError(f"degree must be non-negative (got n={n})")
     if abs(m) > n:
@@ -155,18 +132,7 @@ def _legendre_scaled(n, m, x):
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("argument must lie in [-1, 1]")
     a = abs(m)
-    bound = (math.lgamma(n + a + 1) - math.lgamma(n - a + 1)) / math.log(4.0)
-    odd = (math.lgamma(2 * a + 1) - math.lgamma(a + 1)) / math.log(2.0) - a
-    e, seed = 0, 1.0
-    eps = float(np.finfo(arr.dtype).eps)  # 1 - x^2 >= eps where |x| < 1
-    if bound > 1010.0 or odd + 0.5 * a * math.log2(eps) < -1000.0:
-        with np.errstate(divide="ignore"):  # log 0 = -inf at x = +-1
-            half = 0.5 * a * np.log2((1.0 - arr) * (1.0 + arr))
-        near = 2.0 * bound - a - math.lgamma(a + 1) / math.log(2.0) + half
-        e = np.ceil(np.minimum(near, bound)) - 1010
-        e = np.maximum(e, -1000 * (odd + half < -1000.0)).astype(np.int32)
-        seed = np.ldexp(1.0, -e)
-    mant = _legendre_upward(n, a, arr, seed)
+    mant, e = _legendre_upward(n, a, arr)
     if m < 0:
         mant, e = _negative_order(n, a, mant, e)
     return mant, e, scalar
@@ -178,30 +144,35 @@ def _negative_order(n, a, mant, e):
     return (1.0 if a % 2 == 0 else -1.0) / ratio * mant, e - e_ratio
 
 
-def _legendre_upward(n, m, x, seed):
-    # Seed P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}, times ``seed``, then raise
-    # the degree with (n-m) P_n^m = x(2n-1) P_{n-1}^m - (n+m-1) P_{n-2}^m,
-    # stable for |x| <= 1.  Each step makes one new value and rebinds; a
-    # 0-d x steps as numpy scalars.
+def _legendre_upward(n, m, x):
+    # P_n^m(x) = value * 2^e, m >= 0: P_m^m = (-1)^m (2m-1)!! (1-x^2)^(m/2),
+    # then (n-m) P_n^m = x(2n-1) P_{n-1}^m - (n+m-1) P_{n-2}^m, stable for
+    # |x| <= 1.  P_m^m takes each odd factor over 2^9 and, per point, frexp's
+    # mantissa of sqrt(1-x^2) = s 2^(e_s), so e = m (9 + e_s): it lies in
+    # [2^-520, 1] at m <= 170, and the degree raises it by at most the
+    # Gegenbauer maximum (n+m)!/((n-m)! (2m)!) (DLMF 18.14.4), < 2^232 at
+    # n <= 170.  Powers of two scale each step exactly, so value * 2^e is
+    # the plain recurrence's result wherever that stays normal.
     x = x[()]
-    somx2 = np.sqrt((1.0 - x) * (1.0 + x))
-    pmm = x * 0.0 + seed
+    somx2, e = np.frexp(np.sqrt((1.0 - x) * (1.0 + x)))
+    pmm = x * 0.0 + 1.0
     fact = 1.0
     for _ in range(m):
-        pmm *= -fact
+        pmm *= -fact / 512.0
         pmm *= somx2
         fact += 2.0
+    e = (e + 9) * m
     if n == m:
-        return pmm
+        return pmm, e
     pnm = (2.0 * m + 1.0) * x * pmm
     for k in range(m + 2, n + 1):
-        nxt = (2.0 * k - 1.0) * x
-        nxt *= pnm
-        pmm *= k + m - 1.0
-        nxt -= pmm
-        nxt /= k - m
-        pmm, pnm = pnm, nxt
-    return pnm
+        step = (2.0 * k - 1.0) * x
+        step *= pnm
+        pmm *= -(k + m - 1.0)
+        pmm += step
+        pmm /= k - m
+        pmm, pnm = pnm, pmm
+    return pnm, e
 
 
 def bessel_j(m, x):
@@ -235,7 +206,7 @@ def _bessel_band(lo, hi, x):
     # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, each
     # point's regime picked by its hi.  lo and hi are ints, or in a block one
     # int per point of x, hi - lo the same for all; a regime's points take
-    # their orders with them.
+    # their orders with them; one that takes every point runs on x itself.
     block = isinstance(hi, np.ndarray)
     if block:
         count = int(np.max(hi - lo, initial=0)) + 1
@@ -245,6 +216,9 @@ def _bessel_band(lo, hi, x):
         asym = x >= max(ASYM_X_MIN, hi)
     out = [np.empty_like(x) for _ in range(count)]
     for mask, regime in ((asym, _bessel_hankel), (~asym, _bessel_miller)):
+        if x.size and mask.all():
+            return [row.reshape(x.shape)
+                    for row in regime(lo, hi, x.reshape(-1))]
         if mask.any():
             orders = (lo[mask], hi[mask]) if block else (lo, hi)
             for row, val in zip(out, regime(*orders, x[mask])):
@@ -662,13 +636,14 @@ def _rounded(x, e, message, *args):
 
 
 def _scaled_factorial_ratio(n, a):
-    # (n+a)!/(n-a)! = ratio * 2^e: the running product (n-a+1)...(n+a) with
-    # its powers of two moved to e whenever it passes 1e300.  They scale
-    # exactly, so ratio * 2^e is the plain product's rounding, unbounded.
+    # (n+a)!/(n-a)! = ratio * 2^e, ratio in [0.5, 1): the running product
+    # (n-a+1)...(n+a), its powers of two moved to e past 1e300 and at the
+    # end, exactly: ratio * 2^e is the plain product's rounding, unbounded.
     ratio, e = 1.0, 0
     for j in range(n - a + 1, n + a + 1):
         ratio *= j
         if ratio > 1e300:
             ratio, de = math.frexp(ratio)
             e += de
-    return ratio, e
+    ratio, de = math.frexp(ratio)
+    return ratio, e + de

@@ -164,7 +164,7 @@ def check_identity(p, spec=QuadratureSpec(), abs_tol=SweepConfig.abs_tol,
                    rel_tol=SweepConfig.rel_tol):
     """Compare the closed form against the oracle for one parameter tuple.
 
-    A side that raises ValueError or OverflowError (a factor past the
+    A side that raises ValueError or OverflowError (a value past the
     double range, say) fails the case instead of the sweep.
     """
     try:

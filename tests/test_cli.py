@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 import lbk.cli
 import lbk.oracle
 import lbk.specfun
+import lbk.verify
 from lbk.cli import main, render_json
 from lbk.kernel import IntegralParams, closed_form_I
 from lbk.oracle import QuadratureSpec, QuadResult
-from lbk.verify import SweepConfig
+from lbk.verify import SWEEP_ORACLE_SPEC, SweepConfig, draw_cases
 
 PI = math.pi
 
@@ -168,8 +170,8 @@ class TestQuad:
         assert "converge" in err
 
     @pytest.mark.parametrize("flags", [
-        # P_170^170(cos 1) ~ 8.5e343 leaves the double range.
-        ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "5"],
+        # I(170, 170, 1, 100) ~ 2.46e318 leaves the double range.
+        ["--n", "170", "--m", "170", "--alpha", "1.0", "--R", "100"],
         ["--n", "2", "--m", "1", "--alpha", "1.0", "--R", "2.0",
          "--nodes-per-panel", "1025"],
     ])
@@ -178,6 +180,18 @@ class TestQuad:
         assert code == 2
         assert out == ""
         assert err.startswith("invalid input:")
+
+    def test_value_fits_where_legendre_factor_does_not(self, capsys):
+        # P_170^170(cos 1) ~ 8.5e343 alone leaves the double range, I does
+        # not: the oracle integrates P_n^m over a power of two and converges
+        # to mpmath's I = 6.8234238290424315e103.
+        code, out, err = run(capsys, ["quad", "--n", "170", "--m", "170",
+                                      "--alpha", "1.0", "--R", "5"])
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert rec["converged"] is True
+        assert rec["re"] == pytest.approx(6.8234238290424315e103, rel=1e-10)
+        assert rec["im"] == 0
 
     def test_unset_flags_take_spec_defaults(self, capsys, monkeypatch):
         specs = []
@@ -206,6 +220,13 @@ def test_tolerance_flags_only_where_read(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("usage: lbk")
     assert "unrecognized arguments: --abs-tol" in err
+
+
+def _die_in_worker(*args, **kwargs):
+    # Stands in for verify._check_block: a pool worker running it dies at
+    # once.  Module-level, so the pool can pickle it by name.
+    assert multiprocessing.parent_process() is not None, "ran in-process"
+    os._exit(1)
 
 
 class TestVerify:
@@ -240,11 +261,15 @@ class TestVerify:
             main(["verify"])
         assert configs == [SweepConfig(seed=42, cases=100)]
 
-    def test_crash_exits_4_with_one_line(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [
+        RuntimeError("worker died\nwith a second line"),
+        MemoryError("out of memory\nwith a second line"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_crash_exits_4_with_one_line(self, capsys, monkeypatch, error):
         # An exception other than ValueError or OverflowError is a crash,
         # not a failing case: exit 4 and one line on stderr, no traceback.
         def crashing(cfg):
-            raise RuntimeError("worker died\nwith a second line")
+            raise error
 
         monkeypatch.setattr(lbk.cli, "sweep_random", crashing)
         monkeypatch.setattr(sys, "argv", ["lbk", "verify", "--cases", "3"])
@@ -254,7 +279,29 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("internal error: RuntimeError(")
+        assert captured.err.startswith(
+            f"internal error: {type(error).__name__}(")
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched block reaches workers by fork")
+    def test_killed_worker_exits_4_with_one_line(self, capsys, monkeypatch):
+        # A pool worker that dies breaks the pool; the BrokenProcessPool
+        # that sweep_random meets is a crash: exit 4, one line on stderr.
+        monkeypatch.setenv("LBK_WORKERS", "2")
+        if lbk.verify.resolve_workers() < 2:
+            pytest.skip("one CPU: verify runs no pool")
+        monkeypatch.setattr(lbk.verify, "_check_block", _die_in_worker)
+        monkeypatch.setattr(sys, "argv", ["lbk", "verify", "--cases", "100"])
+        assert len(list(lbk.oracle._blocks(
+            draw_cases(SweepConfig(seed=42, cases=100)),
+            SWEEP_ORACLE_SPEC))) > 1
+        with pytest.raises(SystemExit) as exit_info:
+            lbk.cli.app()
+        assert exit_info.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: BrokenProcessPool(")
 
     def test_degree_above_cap_exits_2(self, capsys):
         code, out, err = run(capsys, ["verify", "--n-max", "250"])
@@ -276,22 +323,20 @@ class TestVerify:
         assert len(json.loads(out)["failures"]) >= 1
 
     def test_raising_case_is_reported_exit_1(self, capsys):
-        # (167, 156, 2.039, 19.22) and (170, 169, 2.606, 14.61) overflow
-        # P_n^m in the oracle's integrand, though their closed forms fit:
-        # both are failure records with a reason, last key, and no nan or
-        # inf.
+        # At R near 1e300 every oracle layout passes the node cap, though
+        # the closed forms fit: each case is a failure record with a
+        # reason, last key, and no nan or inf.
         code, out, err = run(capsys, ["verify", "--n-max", "170", "--R-max",
-                                      "50", "--cases", "200", "--seed", "11"])
+                                      "1e300", "--cases", "5", "--seed", "11"])
         assert code == 1
         assert err == ""
         rep = json.loads(out)
-        assert rep["total"] == 200
+        assert rep["total"] == 5
         assert all(list(f)[-1] == "reason" for f in rep["failures"])
-        reasons = {(f["n"], f["m"]): f["reason"] for f in rep["failures"]
-                   if f["reason"] is not None}
-        assert reasons[(167, 156)].startswith("oracle: P_n^m overflows")
-        assert reasons[(170, 169)].startswith("oracle: P_n^m overflows")
-        assert not any(r.startswith("closed form") for r in reasons.values())
+        reasons = [f["reason"] for f in rep["failures"]]
+        assert len(reasons) == 5
+        assert all(r.startswith("oracle: quadrature needs more than")
+                   for r in reasons)
         assert "nan" not in out.lower() and "inf" not in out.lower()
 
     @pytest.mark.parametrize("flags", [
@@ -422,7 +467,7 @@ class TestTable:
         ["--n-max", "175", "--m", "-172", "--alpha", "1.0", "--R", "2.0"],
         ["--method", "quad", "--alpha", "1.0", "--R", "1e300"],
         ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "100"],
-        ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
+        ["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "100",
          "--method", "quad"],
     ])
     def test_invalid_point_exits_2(self, capsys, flags):
@@ -549,9 +594,9 @@ class TestTableRows:
         (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "100"],
          "I overflows double precision for n=170, m=170, alpha=1.0, "
          "R=100.0"),
-        (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "5",
+        (["--n-max", "170", "--m", "170", "--alpha", "1.0", "--R", "100",
           "--method", "quad"],
-         "P_n^m overflows double precision for n=170, m=170"),
+         "quadrature value overflows double precision"),
         # The first failing entry in record order: one row per radius,
         # stepped entry by entry.
         (["--n-max", "170", "--all-m", "--alpha", "1.0", "--R", "100"],

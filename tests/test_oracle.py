@@ -15,6 +15,7 @@ from lbk.kernel import (
 from lbk.oracle import (
     _HAS_EXTENDED,
     QuadratureSpec,
+    _frame,
     _gk_rule,
     gauss_panels,
     integrate_dI_dR,
@@ -22,7 +23,12 @@ from lbk.oracle import (
     integrate_lock,
     integrate_poisson_exp,
 )
-from lbk.specfun import assoc_legendre, bessel_j
+from lbk.specfun import (
+    _negative_order,
+    _scaled_factorial_ratio,
+    assoc_legendre,
+    bessel_j,
+)
 from lbk.verify import SWEEP_ORACLE_SPEC, SweepConfig, draw_cases
 
 FOUR_OVER_PI = 1.2732395447351628
@@ -328,7 +334,7 @@ class TestIntegrateI:
                 return out
             return call
 
-        for name in ("assoc_legendre", "bessel_j"):
+        for name in ("_legendre_scaled", "bessel_j"):
             monkeypatch.setattr(lbk.oracle, name,
                                 guarded(getattr(lbk.oracle, name)))
         # escalates to extended precision where the platform has it, and
@@ -406,6 +412,61 @@ class TestIntegrateI:
             assert abs(q.value.real) < 1e-10
 
 
+class TestLegendreFrame:
+    # The closed form and the oracle share the factorial ratio (n+a)!/(n-a)!
+    # of a negative order and the bound N(n, m) = sqrt((n+m)!/(n-m)!) that
+    # places the oracle's Legendre factor; pinned here against mpmath's
+    # factorials over the whole triangle, so a shared error cannot cancel.
+
+    def test_shared_norm_against_mpmath_factorials(self):
+        # Measured: the running product is within 19.4 2^-53 of the exact
+        # ratio, the negative-order factor (-1)^a/ratio within 19.0 2^-53,
+        # and N <= 2^(frame + 1000) <= 2N.
+        eps = 2.0 ** -53
+        with mpmath.workprec(2500):
+            fac = [mpmath.factorial(k) for k in range(341)]
+            for n in range(171):
+                for a in range(n + 1):
+                    exact = fac[n + a] / fac[n - a]
+                    ratio, e = _scaled_factorial_ratio(n, a)
+                    assert abs(mpmath.ldexp(ratio, e) / exact - 1) \
+                        <= 20 * eps, (n, a)
+                    mant, e = _negative_order(n, a, 1.0, 0)
+                    factor = mpmath.ldexp(mant, e) * exact * (-1) ** a
+                    assert abs(factor - 1) <= 20 * eps, (n, a)
+                    frame = mpmath.ldexp(1, 2 * (_frame(n, a) + 1000))
+                    assert exact <= frame <= 4 * exact, (n, a)
+                    if a:
+                        assert _frame(n, -a) == -1000
+
+    @pytest.mark.parametrize("R", [1.0, 1.5, 2.0])
+    def test_bessel_factor_below_the_normal_range(self, R):
+        # J_170(R sin(1) sqrt(1 - u^2)) lies below 2^-1022 on every node, so
+        # a double pass carries its absolute rounding; the floor of the
+        # frame escalates the call, which converges to mpmath's value, or,
+        # without extended precision, reports non-convergence.  Without the
+        # floor, R = 1.5 converged to 0 at its seed layout (I ~ 9.1e14).
+        want = _closed_mp(170, 170, 1.0, R)
+        q = integrate_I(IntegralParams(170, 170, 1.0, R))
+        assert q.converged or not _HAS_EXTENDED
+        if q.converged:
+            assert abs(q.value - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("n, m, fits", [
+        (170, 170, False), (170, 100, False), (120, -110, True),
+        (9, 4, True), (0, 0, True)])
+    def test_legendre_factor_is_p_over_its_frame(self, n, m, fits):
+        # On a seed layout's nodes, at the ends and next to them, the
+        # oracle's Legendre factor stays within 2^1000, and where P_n^m fits
+        # the double range it is P_n^m over 2^frame, bit for bit.
+        u = np.concatenate((_gk_rule(32, np.float64)[0], [math.cos(1e-6)]))
+        values = lbk.oracle._legendre(n, m, u)
+        assert np.all(np.abs(values) <= 2.0 ** 1000)
+        if fits:
+            np.testing.assert_array_equal(np.ldexp(values, _frame(n, m)),
+                                          assoc_legendre(n, m, u))
+
+
 class TestIntegrateDIdR:
     def test_zero_radius_odd_integrand(self):
         q = integrate_dI_dR(IntegralParams(0, 0, 1.1, 0.0))
@@ -449,11 +510,11 @@ class TestIntegrateDIdR:
         # loop (above), not one loop per order.
         passes = []
 
-        def legendre(n, m, u):
+        def legendre(n, m, u, _scaled=lbk.oracle._legendre_scaled):
             passes.append(np.size(u))
-            return assoc_legendre(n, m, u)
+            return _scaled(n, m, u)
 
-        monkeypatch.setattr(lbk.oracle, "assoc_legendre", legendre)
+        monkeypatch.setattr(lbk.oracle, "_legendre_scaled", legendre)
         assert integrate_dI_dR(IntegralParams(8, 3, 1.0, R)).converged
         assert passes
         assert loop_calls == {name: len(passes) if name in loops else 0

@@ -23,6 +23,10 @@ from lbk.verify import (
     sweep_random,
 )
 
+# Its closed form fits; its oracle's seed layout passes the node cap, so the
+# oracle raises ValueError.
+_PAST_NODE_CAP = IntegralParams(5, 2, 1.0, 1e300)
+
 
 class TestSweepConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -103,13 +107,11 @@ class TestCheckIdentity:
                               "for n=170, m=170, alpha=1.0, R=100.0")
 
     def test_raising_oracle_is_a_failed_case(self):
-        # The closed form fits (|I| ~ 1.7e146); the oracle's integrand
-        # evaluates P_170^169 near u = 0, which does not.
-        rep = check_identity(IntegralParams(170, 169, 2.6056, 14.61))
+        rep = check_identity(_PAST_NODE_CAP)
         assert not rep.passed and not rep.oracle_converged
         assert math.isfinite(abs(rep.closed)) and rep.oracle is None
         assert rep.abs_err is None and rep.rel_err is None
-        assert rep.reason.startswith("oracle: P_n^m overflows")
+        assert rep.reason.startswith("oracle: quadrature needs more than")
 
 
 def _block_count(cfg, spec=SWEEP_ORACLE_SPEC):
@@ -182,15 +184,18 @@ class TestSweepRandom:
         assert all(not r.passed for r in rep.failures)
 
 
-    def test_raising_case_does_not_abort_the_sweep(self):
-        # seed 11 draws (167, 156, 2.039, 19.22) as its fifth case, whose
-        # oracle integrand overflows P_n^m
+    def test_raising_case_does_not_abort_the_sweep(self, monkeypatch):
+        # The node-cap case among the seed-11 draws at n <= 170: it fails
+        # with its reason, and the cases after it are still checked.
         cfg = SweepConfig(seed=11, cases=5, n_max=170, R_max=50.0)
-        assert draw_cases(cfg)[-1].n == 167
+        cases = draw_cases(cfg)
+        cases.insert(2, _PAST_NODE_CAP)
+        monkeypatch.setattr(lbk.verify, "draw_cases", lambda cfg: cases)
         rep = sweep_random(cfg, workers=1)
-        assert rep.total == 5
-        assert any(f.reason and f.reason.startswith("oracle:")
-                   for f in rep.failures)
+        assert rep.total == 6
+        raised = [f for f in rep.failures if f.reason]
+        assert [f.params for f in raised] == [_PAST_NODE_CAP]
+        assert raised[0].reason.startswith("oracle:")
         assert math.isfinite(rep.max_abs_err)
 
 
@@ -200,14 +205,15 @@ class TestOracleBlocks:
 
     @pytest.mark.parametrize("cases", [5, 48])
     def test_sweep_matches_lone_calls(self, cases, monkeypatch):
-        # seed 11 at n <= 170: the fifth case raises in the oracle (P_n^m
-        # overflows), and others escalate to longdouble and stay
-        # unconverged.  At 5 cases one oracle block, which no pool runs; at
-        # 48, ten, which the pool maps.
+        # seed 11 at n <= 170, then the node-cap case, which raises in the
+        # oracle and is a block of its own; some draws escalate to
+        # longdouble and stay unconverged.  At 5 cases two oracle blocks, at
+        # 48 eleven, which the pool maps.
         cfg = SweepConfig(seed=11, cases=cases, n_max=170, R_max=50.0)
         spec = SWEEP_ORACLE_SPEC
+        drawn = draw_cases(cfg) + [_PAST_NODE_CAP]
         lone = [check_identity(p, spec, cfg.abs_tol, cfg.rel_tol)
-                for p in draw_cases(cfg)]
+                for p in drawn]
         assert any(r.reason and r.reason.startswith("oracle:") for r in lone)
         assert any(r.reason is None and not r.oracle_converged for r in lone)
 
@@ -219,8 +225,8 @@ class TestOracleBlocks:
             return gk_rule(n, dtype)
 
         monkeypatch.setattr(lbk.oracle, "_gk_rule", spy)
-        blocks = list(lbk.oracle._blocks(draw_cases(cfg), spec))
-        assert len(blocks) == {5: 1, 48: 10}[cases]
+        blocks = list(lbk.oracle._blocks(drawn, spec))
+        assert len(blocks) == {5: 2, 48: 11}[cases]
         assert max(map(len, blocks)) > 1
         blocked = [r for block in blocks for r in lbk.verify._check_block(
             block, spec, cfg.abs_tol, cfg.rel_tol)]
@@ -229,10 +235,11 @@ class TestOracleBlocks:
         assert any(longdouble) or not lbk.oracle._HAS_EXTENDED
         monkeypatch.undo()
 
+        monkeypatch.setattr(lbk.verify, "draw_cases", lambda cfg: drawn)
         failures = tuple(r for r in lone if not r.passed)
         for workers in (1, 2):
             rep = sweep_random(cfg, spec, workers=workers)
-            assert rep.total == cases
+            assert rep.total == len(drawn)
             assert list(map(repr, rep.failures)) == list(map(repr, failures))
             assert rep.max_abs_err == max(
                 r.abs_err for r in lone if r.abs_err is not None)
@@ -251,16 +258,16 @@ class TestOracleBlocks:
                 "oracle: quadrature needs more than")
 
     def test_block_seeds_dropped_when_it_raises(self):
-        cfg = SweepConfig(seed=11, cases=5, n_max=170, R_max=50.0)
-        block = draw_cases(cfg)
+        cfg = SweepConfig(seed=11, cases=4, n_max=170, R_max=50.0)
+        block = draw_cases(cfg) + [_PAST_NODE_CAP]
         spec = SWEEP_ORACLE_SPEC
         with pytest.raises(RuntimeError):
             with lbk.oracle._seeded(block, spec):
-                # the case whose P_n^m overflows raises in its own call
+                # the node-cap case has no seed and raises in its own call
                 assert set(lbk.oracle._SEEDS.get()) == {(p, spec)
                                                         for p in block[:4]}
                 assert check_identity(block[4], spec).reason.startswith(
-                    "oracle: P_n^m overflows")
+                    "oracle: quadrature needs more than")
                 raise RuntimeError
         assert lbk.oracle._SEEDS.get() is None
 
