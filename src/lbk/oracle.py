@@ -49,14 +49,16 @@ only where its value also agrees with the layout of half its panels.
 
 Sweeps make many small ``integrate_I`` calls, where numpy's per-call cost
 dominates.  Inside a block (``_blocks``, ``_seeded``), the float64 seed
-passes of a run of cases are evaluated together, in one set of numpy calls,
-each with the bits of its own call; each case's call then takes its seed
-pass from the block and refines it alone, as a call outside a block does.
+passes of a run of cases are evaluated together, in one set of numpy calls
+and one J_m call per run of cases of one order, each with the bits of its
+own call; each case's call then takes its seed pass from the block and
+refines it alone, as a call outside a block does.
 """
 
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -346,8 +348,9 @@ def _seed_panels(spec, auto_panels):
 
 def _refine(pair, imaginary, spec, auto_panels, seed=None, shift=0):
     # The passes from the seed layout on, in the frame 2^shift (_frame);
-    # the result is scaled back (OverflowError past the range).  ``seed``,
-    # where given, is the float64 seed pass's _sums, from a block (_seeded).
+    # the result is scaled back (OverflowError past the range, its message
+    # naming an unconverged pass).  ``seed``, where given, is the float64
+    # seed pass's _sums, from a block (_seeded).
     panels = _seed_panels(spec, auto_panels)
     width = 2 * spec.nodes_per_panel + 1
     abs_tol = math.ldexp(spec.abs_tol, -shift)
@@ -394,7 +397,10 @@ def _refine(pair, imaginary, spec, auto_panels, seed=None, shift=0):
         other = value
         panels *= 2
         value, est, l1 = run(panels, dtype)
-    message = "quadrature value overflows double precision"
+    # An unconverged pass's value is no estimate of the integral, so its
+    # overflow names the non-convergence.
+    message = ("quadrature value overflows double precision" if converged
+               else "unconverged quadrature value overflows double precision")
     return QuadResult(_rounded(value, shift, message),
                       _rounded(est, shift, message), panels, converged)
 
@@ -523,8 +529,9 @@ def _seed_passes(cases, spec):
     # {(p, spec): _sums of the float64 seed pass} of integrate_I for the
     # cases, in one set of numpy calls.  Each case keeps its own layout,
     # P_n^m and sums, with the shapes of its own call; J_m comes from one
-    # engine call over all the nodes, one order per point, which gives each
-    # case the bits of its own bessel_j call; ``sizes`` spreads each case's
+    # engine call per run of consecutive cases of one order, which gives
+    # each case the bits of its own bessel_j call, as J_m depends on its
+    # order, argument and dtype alone.  ``sizes`` spreads each case's
     # values over its points and cuts its sums back out.  A case whose seed
     # layout passes the node cap is left out, to raise in its own call.
     nodes, weights = _gk_rule(spec.nodes_per_panel, np.float64)
@@ -542,20 +549,24 @@ def _seed_passes(cases, spec):
         return {}
     params, u, su, folds, legendre = zip(*kept)
     sizes = np.array([x.size for x in u])
+    ends = np.cumsum(sizes).tolist()
 
     def per_point(value):
         return np.repeat([value(p) for p in params], sizes)
 
     # The products of the lone call's pair, in its order, in place.
-    amp = _bessel_j(per_point(lambda p: p.m),
-                    per_point(lambda p: p.R * math.sin(p.alpha))
-                    * np.concatenate(su))
+    arg = per_point(lambda p: p.R * math.sin(p.alpha)) * np.concatenate(su)
+    amp = np.empty_like(arg)
+    start = 0
+    for m, run in itertools.groupby(zip(params, ends), lambda q: q[0].m):
+        end = list(run)[-1][1]
+        amp[start:end] = _bessel_j(m, arg[start:end])
+        start = end
     amp *= np.concatenate(legendre)
     amp *= 2.0
     vals, mass = _folded(
         amp, per_point(lambda p: p.R * math.cos(p.alpha)) * np.concatenate(u),
         per_point(lambda p: (p.n + p.m) % 2 == 1))
-    ends = np.cumsum(sizes).tolist()
     return {(p, spec): _sums(vals[end - size:end], mass[end - size:end], f)
             for p, f, size, end in zip(params, folds, sizes.tolist(), ends)}
 

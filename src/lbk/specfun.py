@@ -31,16 +31,15 @@ Each Miller loop starts from its regime's edge, max(ASYM_X_MIN, |m|) for
 J and max(n, 1) for j_n, whatever its arguments, and Hankel's sums take,
 at every point, the term count that x = ASYM_X_MIN needs in the dtype, so
 a J_m value depends on its order, its argument and its dtype alone, not
-on the other points of its call.  The J_m loops also take one order per
-point, for the quadrature oracle's sweeps, which run a block of cases in
-one call: each point takes its regime from its own order, enters the
-Miller loop at its own order's start and leaves with its own order's
-value.  The Miller loop rescales by counted powers of two, so each order
-of its band, J_k = x^k g_k and j_n(x)/x^p, is a mantissa and its own
-binary exponent, rounded once, and never passes through a g_k, j_n or x^p
-outside the double range.  The P_n^m degree recurrence is the only
-Legendre evaluator in the package; the quadrature oracle builds its rules
-from the recurrence coefficients of its Jacobi-Kronrod matrix instead.
+on the other points of its call.  Each loop takes one order pair, so the
+quadrature oracle's sweeps, which evaluate a block of cases together, call
+it once per run of cases of one order.  The Miller loop rescales by
+counted powers of two, so each order of its band, J_k = x^k g_k and
+j_n(x)/x^p, is a mantissa and its own binary exponent, rounded once, and
+never passes through a g_k, j_n or x^p outside the double range.  The
+P_n^m degree recurrence is the only Legendre evaluator in the package;
+the quadrature oracle builds its rules from the recurrence coefficients
+of its Jacobi-Kronrod matrix instead.
 
 Sign convention: Abramowitz & Stegun associated Legendre polynomials with
 the Condon-Shortley phase, i.e. P_1^1(x) = -sqrt(1 - x^2).
@@ -193,9 +192,8 @@ def bessel_j(m, x):
 
 
 def _bessel_j(m, x):
-    # bessel_j on a checked array, m an int or, in an oracle block, one
-    # order per point.  J_m(-x) = (-1)^m J_m(x) and J_{-m} = (-1)^m J_m:
-    # (-1)^m where exactly one of x and m is negative.
+    # bessel_j on a checked array, m an int.  J_m(-x) = (-1)^m J_m(x) and
+    # J_{-m} = (-1)^m J_m: (-1)^m where exactly one of x and m is negative.
     mm = abs(m)
     (out,) = _bessel_band(mm, mm, np.abs(x))
     out *= np.where((x < 0.0) != (m < 0), 1.0 - 2.0 * (mm % 2), 1.0)
@@ -204,40 +202,18 @@ def _bessel_j(m, x):
 
 def _bessel_band(lo, hi, x):
     # [J_lo(x), ..., J_hi(x)] for x >= 0, from one loop per regime, each
-    # point's regime picked by its hi.  lo and hi are ints, or in a block one
-    # int per point of x, hi - lo the same for all; a regime's points take
-    # their orders with them; one that takes every point runs on x itself.
-    block = isinstance(hi, np.ndarray)
-    if block:
-        count = int(np.max(hi - lo, initial=0)) + 1
-        asym = x >= np.maximum(ASYM_X_MIN, hi)
-    else:
-        count = hi - lo + 1
-        asym = x >= max(ASYM_X_MIN, hi)
-    out = [np.empty_like(x) for _ in range(count)]
+    # point's regime picked by hi; a regime that takes every point runs on
+    # x itself.
+    asym = x >= max(ASYM_X_MIN, hi)
+    out = [np.empty_like(x) for _ in range(hi - lo + 1)]
     for mask, regime in ((asym, _bessel_hankel), (~asym, _bessel_miller)):
         if x.size and mask.all():
             return [row.reshape(x.shape)
                     for row in regime(lo, hi, x.reshape(-1))]
         if mask.any():
-            orders = (lo[mask], hi[mask]) if block else (lo, hi)
-            for row, val in zip(out, regime(*orders, x[mask])):
+            for row, val in zip(out, regime(lo, hi, x[mask])):
                 row[mask] = val
     return out
-
-
-def _runs(lo, hi):
-    # A loop's points as runs that share their orders: (part, lo, hi) per
-    # run, part ``...`` for a call of one order pair, else the run's slice
-    # of a block.  A block needs no sorting: its cases are runs already,
-    # and neighbouring cases of one order merge.
-    if not isinstance(lo, np.ndarray):
-        return [(..., lo, hi)]
-    cuts = (np.flatnonzero(lo[1:] != lo[:-1]) + 1).tolist()
-    if not cuts:
-        return [(..., int(lo[0]), int(hi[0]))]
-    return [(slice(a, b), int(lo[a]), int(hi[a]))
-            for a, b in zip([0, *cuts], [*cuts, lo.size])]
 
 
 def _bessel_miller(lo, hi, x):
@@ -246,16 +222,17 @@ def _bessel_miller(lo, hi, x):
     # Every step takes the same rounding of x^2, about x eps/2 of J's
     # envelope (1.9e-15 near x = 24); g_k - (e/2) g_{k+1}, e = x^2 -
     # fl(x^2), steps back to x^2 (DLMF 10.6.6).  x^k enters through
-    # _times_power, rounded once, with per-point exponents for one order
-    # and a block alike: numpy squares a scalar 2, which can round apart.
+    # _times_power, rounded once, with an exponent per point even for a
+    # lone point: numpy squares a scalar 2, which can round apart.
     vals, above, g0, _, even_sum, drops = _backward(
         lo, hi, x, 0, int(ASYM_X_MIN))
     half_err = 0.5 * _square_error(x)
     norm = 2.0 * even_sum + g0
-    orders = np.broadcast_to(lo, x.shape)
-    return [np.ldexp(*_times_power(
-        *_normalized(val - half_err * nxt, drop, norm), x, orders + j))
-            for j, (val, nxt, drop) in enumerate(zip(vals, above, drops))]
+    rows = []
+    for k, val, nxt, drop in zip(range(lo, hi + 1), vals, above, drops):
+        mant, e = _normalized(val - half_err * nxt, drop, norm)
+        rows.append(np.ldexp(*_times_power(mant, e, x, np.full(x.shape, k))))
+    return rows
 
 
 def _normalized(val, drop, norm, factor=1.0):
@@ -308,67 +285,53 @@ def _bessel_hankel(lo, hi, x):
 def _upward(lo, hi, x, f0, f1, shift):
     # [f_lo, ..., f_hi] from f_0, f_1 and f_{k+1} = (2k+shift)/x f_k - f_{k-1},
     # the recurrence of J_k (shift 0) and of j_k (shift 1), stable for
-    # k <= x.  (2k+shift)/x is rounded once per step: a shared 1/x would put
-    # the same relative error into every step's coefficient, 4-6x the error
+    # k <= x, each f_k written to its band row as the loop reaches it.
+    # (2k+shift)/x is rounded once per step: a shared 1/x would put the
+    # same relative error into every step's coefficient, 4-6x the error
     # near x = k.  Updates are in place, so the loop holds three arrays; a
     # single point steps as numpy scalars, which rebind instead: as a
     # one-element array, a lone j_20(33.3) took 2.7 times as long and
-    # j_150(400) 7 times.  With one order per point (_bessel_band) the loop
-    # runs to the highest hi, each point taking its band row at the step of
-    # its own order.
-    runs = _runs(lo, hi)
-    taken = {}  # order k -> the (band row, part) pairs that take f_k
-    for part, a, b in runs:
-        for k in range(a, b + 1):
-            taken.setdefault(k, []).append((k - a, part))
-    band = np.empty((runs[0][2] - runs[0][1] + 1,) + x.shape, x.dtype)
+    # j_150(400) 7 times.
+    band = np.empty((hi - lo + 1,) + x.shape, x.dtype)
     if x.size == 1:
         x, f0, f1 = x[0], f0[0], f1[0]
     for k, f in (0, f0), (1, f1):
-        for j, part in taken.get(k, ()):
-            band[j, part] = f[part]
+        if lo <= k <= hi:
+            band[k - lo] = f
     prev, cur = f0, f1
-    for k in range(1, max(b for _, _, b in runs)):
+    for k in range(1, hi):
         nxt = (2.0 * k + shift) / x
         nxt *= cur
         nxt -= prev
         prev, cur = cur, nxt
-        if k + 1 in taken:
-            for j, part in taken[k + 1]:
-                band[j, part] = cur[part]
+        if k >= lo - 1:
+            band[k + 1 - lo] = cur
     return band
-
-
-def _hankel_coefficients(count):
-    # Rows P_0, Q_0, P_1, Q_1 of Hankel's expansion, count coefficients each,
-    # as polynomials in z = 1/x^2: P_nu = sum_i (-1)^i a_{2i} z^i and
-    # Q_nu x = sum_i (-1)^i a_{2i+1} z^i, from the term ratio a_k = a_{k-1}
-    # (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1, in the widest float.  Also the
-    # power of 1/x that each coefficient carries.
-    k = np.arange(2 * count)
-    a = np.ones((2, 2 * count), dtype=np.longdouble)
-    for j in range(1, 2 * count):
-        a[:, j] = a[:, j - 1] * (np.array([0, 4]) - (2 * j - 1) ** 2) / (8 * j)
-    a *= (-1.0) ** (k // 2)
-    table = np.stack([a[0, 0::2], a[0, 1::2], a[1, 0::2], a[1, 1::2]])
-    return table, np.stack([k[0::2], k[1::2]] * 2)
-
-
-# Up to k = 2 * ASYM_X_MIN the terms a_k / x^k fall with k for every x in
-# the regime, so the terms above eps form a prefix of each row.
-_HANKEL_PQ, _HANKEL_POWER = _hankel_coefficients(int(ASYM_X_MIN))
 
 
 @functools.lru_cache(maxsize=None)
 def _hankel_coefs(dtype):
-    # _HANKEL_PQ in ``dtype``, cut after the first terms below its eps/4 at
-    # x = ASYM_X_MIN.  Each term falls with x, so that length serves every
-    # point of the regime: 10 terms in double.  Callers only read it.
-    log_terms = (np.log(np.abs(_HANKEL_PQ).astype(float))
-                 - _HANKEL_POWER * math.log(ASYM_X_MIN))
-    above = log_terms > math.log(float(np.finfo(dtype).eps) / 4.0)
+    # Rows P_0, Q_0, P_1, Q_1 of Hankel's expansion in ``dtype``, as
+    # polynomials in z = 1/x^2: P_nu = sum_i (-1)^i a_{2i} z^i and
+    # Q_nu x = sum_i (-1)^i a_{2i+1} z^i, from the term ratio a_k = a_{k-1}
+    # (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1, in the widest float.  Up to
+    # k = 2 * ASYM_X_MIN the terms a_k / x^k fall with k for every x in the
+    # regime, so the terms above eps form a prefix of each row.  The rows
+    # are cut after the first terms below the dtype's eps/4 at
+    # x = ASYM_X_MIN; each term falls with x, so that length serves every
+    # point of the regime: 10 terms in double, 15 in extended precision.
+    # Callers only read it.
+    k = np.arange(2 * int(ASYM_X_MIN))
+    a = np.ones((2, k.size), dtype=np.longdouble)
+    for j in range(1, k.size):
+        a[:, j] = a[:, j - 1] * (np.array([0, 4]) - (2 * j - 1) ** 2) / (8 * j)
+    a *= (-1.0) ** (k // 2)
+    table = np.stack([a[0, 0::2], a[0, 1::2], a[1, 0::2], a[1, 1::2]])
+    power = np.stack([k[0::2], k[1::2]] * 2)  # of 1/x, per coefficient
+    above = (np.log(np.abs(table).astype(float)) - power * math.log(ASYM_X_MIN)
+             > math.log(float(np.finfo(dtype).eps) / 4.0))
     terms = np.count_nonzero(above.any(axis=0)) + 1
-    return _HANKEL_PQ[:, :terms].astype(dtype)
+    return table[:, :terms].astype(dtype)
 
 
 def _backward(lo, hi, x, shift, edge):
@@ -377,39 +340,25 @@ def _backward(lo, hi, x, shift, edge):
     # J_k(x)/x^k at shift 0 (DLMF 10.6.1 divided by x^(k-1)) and y_k =
     # j_k(x)/x^k at shift 1 (Gil, Segura & Temme 2007).  It divides by
     # nothing, so it is exact at x = 0.  The caller passes the integer
-    # ``edge`` of its regime: each point's x lies below max(edge, hi), and
-    # the point starts at _miller_start of that for the eps of x's dtype,
-    # whatever its x.  With one order per point (_bessel_band), a point
-    # whose start is below the top one holds zeros, which the loop keeps
-    # exactly zero, until the step of its own start, where it takes the
-    # seed a lone call starts from.  Returns the band
-    # [f_lo, ..., f_hi] the loop passes on its way down, the f_{k+1} beside
-    # each f_k (on its scale), f_0, f_1, sum_{k>=1} x^(2k) f_{2k} (Neumann's
-    # sum for g, summed by Horner's rule; zeros for y, which does not use
-    # it) and one drop per band order: f_k is 2^(_RESCALE_BITS * drop)
-    # times the common scale of f_0, f_1 and the sum, the rescales the loop
-    # made after passing k.
-    runs = _runs(lo, hi)
-    edges = [max(b, edge) for _, _, b in runs]
-    starts = [_miller_start(big, x.dtype) for big in edges]
-    top = max(starts)
-    # events[k]: the parts seeded at step k and the (row, part) pairs that
-    # take f_{k-1} into the band; ``late`` the parts that start below top.
-    events, late = {}, []
-    for (part, a, b), start in zip(runs, starts):
-        if start < top:
-            late.append(part)
-            events.setdefault(start, ([], []))[0].append(part)
-        for k in range(a, b + 1):
-            events.setdefault(k + 1, ([], []))[1].append((k - a, part))
+    # ``edge`` of its regime: every x lies below max(edge, hi), and the
+    # loop starts at _miller_start of that for the eps of x's dtype,
+    # whatever its x.  The step from k takes f_{k-1} into band row
+    # k - 1 - lo.  Returns the band [f_lo, ..., f_hi] the loop passes on
+    # its way down, the f_{k+1} beside each f_k (on its scale), f_0, f_1,
+    # sum_{k>=1} x^(2k) f_{2k} (Neumann's sum for g, summed by Horner's
+    # rule; zeros for y, which does not use it) and one drop per band
+    # order: f_k is 2^(_RESCALE_BITS * drop) times the common scale of f_0,
+    # f_1 and the sum, the rescales the loop made after passing k.
+    big = max(hi, edge)
+    start = _miller_start(big, x.dtype)
     # The steps that pass an even order k - 1 >= 2, for g's sum.
-    sum_steps = () if shift else range(3, top + 1, 2)
+    sum_steps = () if shift else range(3, start + 1, 2)
     # band[j] was passed when ``drops`` stood at marks[j]; counting the
     # rescales once and subtracting at the end is exact in integers.  drops
     # is the scalar 0 until a rescale makes it one count per point: with a
     # count array from the start, the Miller regime on 30 000 points took
     # about 4 % longer.
-    rows = (runs[0][2] - runs[0][1] + 1,) + x.shape
+    rows = (hi - lo + 1,) + x.shape
     band, above = np.empty(rows, x.dtype), np.empty(rows, x.dtype)
     marks, drops = np.empty(rows, np.int32), np.int32(0)
     # Each step updates f_{k+1}'s buffer into f_{k-1} and swaps, so a node
@@ -423,30 +372,22 @@ def _backward(lo, hi, x, shift, edge):
     x2 = x * x
     neg_x2 = -x2
     fk = x * 0.0 + 1e-30
-    for part in late:
-        fk[part] = 0.0
     fkp1, even_sum = x * 0.0, x * 0.0
     # The rescale test must act as if it ran on every step: skipping a step
     # where it fires moves the rescale points and with them the last bits.
     # bk and bkp1 bound max|f_k| and max|f_{k+1}| up to rounding, which the
-    # 1e-3 margin absorbs, so the test runs only where it could fire.  A
-    # point that starts later enters below the bound, as its seed is.
-    b = float(max(edges)) ** 2
+    # 1e-3 margin absorbs, so the test runs only where it could fire.
+    b = float(big) ** 2
     bk, bkp1 = 1e-30, 0.0
-    for k in range(top, 0, -1):
-        event = events.get(k)
-        if event:
-            for part in event[0]:
-                fk[part] = 1e-30
+    for k in range(start, 0, -1):
         fkp1 *= neg_x2
         fkp1 += (2.0 * k + shift) * fk
         fk, fkp1 = fkp1, fk
         bk, bkp1 = (2.0 * k + shift) * bk + b * bkp1, bk
-        if event:
-            for j, part in event[1]:
-                band[j, part] = fk[part]
-                above[j, part] = fkp1[part]
-                marks[j, part] = drops[part] if drops.ndim else drops
+        if lo < k <= hi + 1:
+            band[k - 1 - lo] = fk
+            above[k - 1 - lo] = fkp1
+            marks[k - 1 - lo] = drops
         if k in sum_steps:
             even_sum += fk
             even_sum *= x2

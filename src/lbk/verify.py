@@ -5,10 +5,10 @@ deterministically from a seed, compares the closed form against the
 quadrature oracle case by case and aggregates the failures.  The draw uses
 CPython's ``random.Random`` (MT19937) through ``random()`` only, with the
 mapping documented in ``draw_cases``, so any implementation of the same
-generator reproduces the sweep bit for bit.  The case list is cut once into
-blocks of consecutive cases whose oracle seed passes are evaluated together
-(``oracle._blocks``, ``oracle._seeded``); each case still gets the report
-of its own lone ``check_identity`` call, bit for bit.
+generator reproduces the sweep bit for bit.  The case list, sorted by order
+m, is cut once into blocks of consecutive cases whose oracle seed passes
+are evaluated together (``oracle._blocks``, ``oracle._seeded``); each case
+still gets the report of its own lone ``check_identity`` call, bit for bit.
 
 Residual checks normalize by 1 + (largest term modulus): relative where the
 recurrence terms are large, absolute where they all vanish together (for
@@ -193,13 +193,16 @@ def _check_block(block, spec, abs_tol, rel_tol):
 def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
     """Run ``check_identity`` over the seeded case list and aggregate.
 
-    A process pool maps the cases' oracle blocks (``oracle._blocks``) where
+    The blocks (``oracle._blocks``) cut the cases sorted by m, stably, so
+    a block holds few runs of one order.  A process pool maps them where
     there is more than one worker and more than one block; otherwise the
     blocks run in order in-process.  The report is assembled in case order,
     so equal seeds give equal reports apart from ``wall_time``.
     """
     start = time.perf_counter()
-    blocks = list(_blocks(draw_cases(cfg), spec))
+    cases = draw_cases(cfg)
+    order = sorted(range(len(cases)), key=lambda i: cases[i].m)
+    blocks = list(_blocks([cases[i] for i in order], spec))
     run = partial(_check_block, spec=spec, abs_tol=cfg.abs_tol,
                   rel_tol=cfg.rel_tol)
     nworkers = resolve_workers(workers)
@@ -215,7 +218,9 @@ def sweep_random(cfg, spec=SWEEP_ORACLE_SPEC, workers=None):
             parts = list(pool.map(run, blocks))
     else:
         parts = map(run, blocks)
-    reports = [r for part in parts for r in part]
+    reports = [None] * len(cases)
+    for i, r in zip(order, (r for part in parts for r in part)):
+        reports[i] = r
     failures = tuple(r for r in reports if not r.passed)
     return SweepReport(
         config=cfg,

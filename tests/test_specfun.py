@@ -423,40 +423,6 @@ class TestBesselJ:
             bessel_j(m, float(max(25, abs(m))))
         assert calls
 
-    @given(st.lists(
-        st.tuples(st.integers(-170, 170), st.lists(
-            st.just(0.0)
-            | st.floats(0.0, 1e-9)      # Miller, x^2 below eps
-            | st.floats(1e-7, 2.0)      # Miller, rescaled at large |m|
-            | st.floats(0.0, 24.9)      # Miller
-            | st.floats(25.0, 1e3),     # Hankel above max(25, |m|)
-            min_size=1, max_size=12)),
-        min_size=1, max_size=8))
-    @example([(170, [1e-3]), (3, [0.5, 30.0]), (-40, [25.0, 1e-10]),
-              (0, [800.0]), (1, [26.0, 0.0])])
-    # Hankel cases whose arguments need different term counts.
-    @example([(0, [25.0]), (9, [28.761702993515154]),
-              (17, [44.49981410388491])])
-    # A block of one point, one order across cases, and mixed Miller starts.
-    @example([(0, [0.0])])
-    @example([(30, [1.0]), (30, [2.0])])
-    @example([(170, [1e-3]), (0, [3.0]), (-26, [5.0])])
-    @settings(max_examples=300, deadline=None)
-    def test_block_gives_each_case_its_own_bits(self, cases):
-        # The cases of an oracle block share every loop of one call, yet
-        # each keeps the bits of its own bessel_j call: its own order's
-        # Miller start, whatever the other cases' orders.
-        orders = np.array([m for m, _ in cases])
-        sizes = np.array([len(x) for _, x in cases])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            block = specfun._bessel_j(np.repeat(orders, sizes),
-                                      np.concatenate([x for _, x in cases]))
-            ends = np.cumsum(sizes)
-            for (m, x), end, size in zip(cases, ends, sizes):
-                assert np.array_equal(block[end - size:end],
-                                      bessel_j(m, np.array(x))), (m, x)
-
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @given(case=_order_and_points())
     @example(case=(3, [2.0, 24.9]))

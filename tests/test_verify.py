@@ -113,6 +113,18 @@ class TestCheckIdentity:
         assert rep.abs_err is None and rep.rel_err is None
         assert rep.reason.startswith("oracle: quadrature needs more than")
 
+    def test_unconverged_value_past_the_range_names_non_convergence(self):
+        # The oracle does not converge here, and its last pass, scaled back
+        # from its frame, is about -6.3e308; the closed form, ~3.8e305,
+        # fits.  The reason tells this from a converged value past the
+        # range, such as quad's at (170, 170, 1.0, 100).
+        p = IntegralParams(163, 157, 0.7496309000467076, 5577.779407950599)
+        rep = check_identity(p, SWEEP_ORACLE_SPEC)
+        assert not rep.passed and not rep.oracle_converged
+        assert math.isfinite(abs(rep.closed)) and rep.oracle is None
+        assert rep.reason == ("oracle: unconverged quadrature value "
+                              "overflows double precision")
+
 
 def _block_count(cfg, spec=SWEEP_ORACLE_SPEC):
     return len(list(lbk.oracle._blocks(draw_cases(cfg), spec)))
@@ -159,7 +171,9 @@ class TestSweepRandom:
                             _RecordingPool(started, mapped))
         assert sweep_random(cfg, workers=2).total == 60
         assert started == [2]
-        assert mapped == [list(lbk.oracle._blocks(draw_cases(cfg),
+        # the blocks of the draws sorted by order, stably
+        by_order = sorted(draw_cases(cfg), key=lambda p: p.m)
+        assert mapped == [list(lbk.oracle._blocks(by_order,
                                                   SWEEP_ORACLE_SPEC))]
 
     def test_one_block_starts_no_pool(self, monkeypatch):
@@ -246,6 +260,33 @@ class TestOracleBlocks:
             assert rep.max_rel_err == max(
                 r.rel_err for r in lone if r.rel_err is not None)
             assert lbk.oracle._SEEDS.get() is None
+
+    def test_order_runs_match_lone_calls(self, monkeypatch):
+        # One block whose orders form five runs, one J_m engine call each:
+        # m = 170 at a small R, whose J_m lies below the double range; m = 0
+        # with a case at R = 0, where every Bessel argument is 0; a repeated
+        # m = 30; and m = -26 beside m = 26.
+        spec = SWEEP_ORACLE_SPEC
+        block = [IntegralParams(170, 170, 1.0, 1e-3),
+                 IntegralParams(2, 0, 1.0, 3.0),
+                 IntegralParams(0, 0, 1.0, 0.0),
+                 IntegralParams(30, 30, 0.5, 1.0),
+                 IntegralParams(31, 30, 2.0, 2.0),
+                 IntegralParams(26, -26, 1.0, 5.0),
+                 IntegralParams(27, 26, 1.0, 5.0)]
+        assert list(lbk.oracle._blocks(block, spec)) == [block]
+        lone = [check_identity(p, spec) for p in block]
+        runs = []
+
+        def counted(m, x, _engine=lbk.oracle._bessel_j):
+            runs.append(m)
+            return _engine(m, x)
+
+        monkeypatch.setattr(lbk.oracle, "_bessel_j", counted)
+        blocked = lbk.verify._check_block(block, spec, SweepConfig.abs_tol,
+                                          SweepConfig.rel_tol)
+        assert runs == [170, 0, 30, -26, 26]
+        assert list(map(repr, blocked)) == list(map(repr, lone))
 
     def test_case_past_node_cap_is_a_block_of_its_own(self):
         spec = SWEEP_ORACLE_SPEC
